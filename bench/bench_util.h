@@ -88,7 +88,7 @@ inline std::string ParseStringFlag(int argc, char** argv, const char* prefix,
 }
 
 /// Parses `--threads=N` from the command line: the engine lane count the
-/// bench opts into (1 = serial, 0 = every core; see engine/parallel_for.h).
+/// bench opts into (1 = serial, 0 = every core; see common/parallel_for.h).
 /// Results are identical at any setting — only wall time changes.
 inline int ParseThreadsFlag(int argc, char** argv, int default_threads = 0) {
   return ParseIntFlag(argc, argv, "--threads=", default_threads);

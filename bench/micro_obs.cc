@@ -6,7 +6,7 @@
 // each subsystem disabled (the SetEnabled(false) fast paths). Part 2
 // validates the log-bucketed histogram's quantiles against an exact sorted
 // reference on a log-normal workload. Part 3 is the overhead gate: the
-// same in-process serve wave (real TCP, micro-batched tuning jobs) runs
+// same in-process serve wave (real TCP, concurrent tuning jobs) runs
 // with metrics enabled and disabled in alternating pairs — the flight
 // recorder stays ON in both waves, as in production ("always-on") — and
 // the median enabled/disabled ratio must stay under the 3% budget
@@ -161,7 +161,6 @@ serve::Request SubmitRequest(const std::string& session, uint64_t seed,
 /// polled to completion. Returns wall seconds (negative on any failure).
 double ServeWave(int jobs, long long rows, int threads) {
   serve::ServerOptions options;
-  options.admission.max_batch = 8;
   options.admission.max_queue_depth = static_cast<size_t>(jobs) + 4;
   options.max_concurrent_sessions = threads;
   serve::TuningServer server(options);

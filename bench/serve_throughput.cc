@@ -1,10 +1,11 @@
 // Serve throughput benchmark, two modes over the real TCP protocol:
 //
 //  * Closed loop (legacy): one connection submits `jobs` curve-estimation
-//    ("moderate") sessions and polls them to completion — unbatched
-//    (admission batch 1, sequential sessions) vs micro-batched (batch 8,
-//    one engine fan-out per batch). This wave is dominated by the tuning
-//    math, so it measures end-to-end job latency.
+//    ("moderate") sessions and polls them to completion — serial (one
+//    session in flight) vs concurrent (up to --threads sessions in flight,
+//    0 = one per pool worker). This wave is dominated by the tuning math,
+//    so it measures end-to-end job latency. The JSON keeps its historical
+//    `unbatched_*`/`batched_*` key names for the serial/concurrent waves.
 //
 //  * Open loop (ISSUE 7): many concurrent connections across several
 //    client threads fire cheap baseline ("uniform") jobs as fast as
@@ -13,11 +14,11 @@
 //    jobs do no model training, so this mode measures the serve path
 //    itself: epoll workers, framing, sharded dispatch, and stream/poll
 //    flushing. The headline `throughput_jobs_per_sec` and the
-//    `batched_submit_speedup` (1-shard/batch-1 admission vs 4-shard/
-//    batch-8) come from this mode; the seed's poll-loop server sustained
-//    90.2 jobs/s here, and the epoll overhaul must clear 10x that
-//    (`open_loop_10x_over_seed`) with batching a genuine win
-//    (`batching_wins`).
+//    `batched_submit_speedup` (1 dispatch shard vs 4 shards) come from
+//    this mode; the seed's poll-loop server sustained 90.2 jobs/s here,
+//    and the epoll overhaul must clear 10x that
+//    (`open_loop_10x_over_seed`) with sharded dispatch a genuine win
+//    (`batching_wins`, named for the micro-batching it once measured).
 //
 // Also probes that admission control actually sheds load under a burst.
 // Writes BENCH_serve.json (gated against bench/baselines/ by
@@ -111,17 +112,16 @@ double RunWave(int port, const std::string& prefix, int jobs, long long rows,
   return timer.ElapsedSeconds();
 }
 
-double MeasureServer(size_t max_batch, int max_concurrent, int jobs,
-                     long long rows, bool* all_succeeded) {
+double MeasureServer(int max_concurrent, int jobs, long long rows,
+                     bool* all_succeeded) {
   serve::ServerOptions options;
-  options.admission.max_batch = max_batch;
   options.admission.max_queue_depth = static_cast<size_t>(jobs) + 4;
   options.max_concurrent_sessions = max_concurrent;
   serve::TuningServer server(options);
   ST_CHECK_OK(server.Start());
   const double wall = RunWave(server.port(),
-                              max_batch > 1 ? "batched-" : "serial-", jobs,
-                              rows, all_succeeded);
+                              max_concurrent == 1 ? "serial-" : "concurrent-",
+                              jobs, rows, all_succeeded);
   server.RequestShutdown();
   server.Wait();
   return wall;
@@ -226,15 +226,14 @@ double RunOpenLoop(int port, int threads, int conns, int jobs_per_conn,
 }
 
 /// One open-loop configuration: `sharded` contrasts the seed-like serial
-/// admission (1 shard, batch 1) against the overhauled path (4 dispatch
-/// shards, batch 8) with the transport identical on both sides.
+/// admission (1 dispatch shard) against the overhauled path (4 shards)
+/// with the transport identical on both sides.
 double MeasureOpenLoop(bool sharded, int threads, int conns,
                        int jobs_per_conn, bool* all_succeeded) {
   serve::ServerOptions options;
   options.num_workers = 4;
   options.max_connections = threads * conns + 8;
   options.admission.num_shards = sharded ? 4 : 1;
-  options.admission.max_batch = sharded ? 8 : 1;
   options.admission.max_queue_depth = 1024;
   options.admission.retry_after_ms = 2;
   serve::TuningServer server(options);
@@ -250,8 +249,8 @@ double MeasureOpenLoop(bool sharded, int threads, int conns,
 /// one submission with a retry-after hint.
 bool ProbeLoadShedding() {
   serve::ServerOptions options;
+  options.max_concurrent_sessions = 1;
   options.admission.max_queue_depth = 1;
-  options.admission.max_batch = 1;
   options.admission.retry_after_ms = 25;
   serve::TuningServer server(options);
   ST_CHECK_OK(server.Start());
@@ -289,17 +288,16 @@ int main(int argc, char** argv) {
   const unsigned cores = std::thread::hardware_concurrency();
 
   std::printf("=== Serve throughput: %d tuning jobs over TCP, "
-              "unbatched vs micro-batched ===\n", jobs);
+              "serial vs concurrent ===\n", jobs);
 
   bool all_succeeded = true;
-  const double serial_wall = MeasureServer(/*max_batch=*/1,
-                                           /*max_concurrent=*/1, jobs, rows,
-                                           &all_succeeded);
-  // Isolate the batched wave's latency distribution: the submit -> done
+  const double serial_wall =
+      MeasureServer(/*max_concurrent=*/1, jobs, rows, &all_succeeded);
+  // Isolate the concurrent wave's latency distribution: the submit -> done
   // histogram read below should describe only this wave.
   obs::MetricsRegistry::Global().Reset();
-  const double batched_wall = MeasureServer(/*max_batch=*/8, threads, jobs,
-                                            rows, &all_succeeded);
+  const double concurrent_wall =
+      MeasureServer(threads, jobs, rows, &all_succeeded);
   const obs::HistogramSnapshot submit_done =
       obs::MetricsRegistry::Global()
           .histogram("serve_submit_to_done_ns")
@@ -314,39 +312,39 @@ int main(int argc, char** argv) {
   const double ol_serial_wall =
       MeasureOpenLoop(/*sharded=*/false, ol_threads, ol_conns,
                       ol_jobs_per_conn, &all_succeeded);
-  const double ol_batched_wall =
+  const double ol_sharded_wall =
       MeasureOpenLoop(/*sharded=*/true, ol_threads, ol_conns,
                       ol_jobs_per_conn, &all_succeeded);
   const bool shedding_works = ProbeLoadShedding();
 
   const bool valid = all_succeeded && serial_wall > 0.0 &&
-                     batched_wall > 0.0 && ol_serial_wall > 0.0 &&
-                     ol_batched_wall > 0.0;
-  const double closed_speedup = valid ? serial_wall / batched_wall : 0.0;
-  const double closed_throughput = valid ? jobs / batched_wall : 0.0;
-  const double ol_speedup = valid ? ol_serial_wall / ol_batched_wall : 0.0;
-  const double ol_throughput = valid ? ol_jobs / ol_batched_wall : 0.0;
+                     concurrent_wall > 0.0 && ol_serial_wall > 0.0 &&
+                     ol_sharded_wall > 0.0;
+  const double closed_speedup = valid ? serial_wall / concurrent_wall : 0.0;
+  const double closed_throughput = valid ? jobs / concurrent_wall : 0.0;
+  const double ol_speedup = valid ? ol_serial_wall / ol_sharded_wall : 0.0;
+  const double ol_throughput = valid ? ol_jobs / ol_sharded_wall : 0.0;
   // The seed's poll-loop server measured 90.2 jobs/s; the epoll overhaul
   // gates on 10x that, on every machine class that runs the bench.
   const double kSeedJobsPerSec = 90.2;
   const bool ten_x = ol_throughput > 10.0 * kSeedJobsPerSec;
   const bool batching_wins = ol_speedup > 1.0;
 
-  std::printf("closed loop: unbatched %.3fs, batched %.3fs (batch 8), "
+  std::printf("closed loop: serial %.3fs, concurrent %.3fs, "
               "speedup %.2fx, %.1f jobs/s\n",
-              serial_wall, batched_wall, closed_speedup, closed_throughput);
-  std::printf("open loop  : %d jobs over %d connections; serial admission "
-              "%.3fs, sharded+batched %.3fs\n",
+              serial_wall, concurrent_wall, closed_speedup, closed_throughput);
+  std::printf("open loop  : %d jobs over %d connections; 1 shard %.3fs, "
+              "4 shards %.3fs\n",
               ol_jobs, ol_threads * ol_conns, ol_serial_wall,
-              ol_batched_wall);
+              ol_sharded_wall);
   std::printf("open loop  : %.1f jobs/s sustained (%s 10x the 90.2 jobs/s "
-              "seed), batching speedup %.2fx (%s)\n",
+              "seed), sharding speedup %.2fx (%s)\n",
               ol_throughput, ten_x ? "clears" : "BELOW", ol_speedup,
               batching_wins ? "wins" : "DOES NOT WIN");
   std::printf("admission  : load shedding %s\n",
               shedding_works ? "verified" : "NOT OBSERVED (BUG)");
   std::printf("latency    : submit->done p50 %.1f ms, p99 %.1f ms "
-              "(%llu jobs, closed-loop batched wave)\n",
+              "(%llu jobs, closed-loop concurrent wave)\n",
               submit_done.p50 / 1e6, submit_done.p99 / 1e6,
               static_cast<unsigned long long>(submit_done.count));
 
@@ -358,13 +356,13 @@ int main(int argc, char** argv) {
   summary.Set("hardware_cores", static_cast<long long>(cores));
   summary.Set("threads", threads);
   summary.Set("unbatched_wall_seconds", serial_wall);
-  summary.Set("batched_wall_seconds", batched_wall);
+  summary.Set("batched_wall_seconds", concurrent_wall);
   summary.Set("closed_loop_speedup", closed_speedup);
   summary.Set("closed_loop_jobs_per_sec", closed_throughput);
   summary.Set("open_loop_jobs", ol_jobs);
   summary.Set("open_loop_connections", ol_threads * ol_conns);
   summary.Set("open_loop_serial_wall_seconds", ol_serial_wall);
-  summary.Set("open_loop_wall_seconds", ol_batched_wall);
+  summary.Set("open_loop_wall_seconds", ol_sharded_wall);
   summary.Set("batched_submit_speedup", ol_speedup);
   summary.Set("throughput_jobs_per_sec", ol_throughput);
   summary.Set("all_jobs_succeeded", all_succeeded);

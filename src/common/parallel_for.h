@@ -1,10 +1,11 @@
 // Deterministic, nestable parallel-for on top of ThreadPool.
 //
-// Unlike ThreadPool::ParallelFor, the calling thread participates in the
-// loop and only waits for helper tasks that actually *started*, so the
-// construct is safe to nest (a pool worker blocked inside a ParallelFor can
-// never deadlock the pool: the caller alone is guaranteed to drain the
-// iteration space even if no helper ever gets a worker).
+// The calling thread participates in the loop and only waits for helper
+// tasks that actually *started*, so the construct is safe to nest (a pool
+// worker blocked inside a ParallelFor can never deadlock the pool: the
+// caller alone is guaranteed to drain the iteration space even if no helper
+// ever gets a worker). Engine sessions (engine/experiment_runner.h),
+// curve-estimation grids, and tensor kernels all fan out through it.
 //
 // This lives in common/ (not engine/) because it is the concurrency
 // primitive of *both* levels of the performance stack: the engine fans

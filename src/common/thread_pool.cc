@@ -1,6 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <atomic>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -68,35 +67,6 @@ size_t ThreadPool::PendingCount() const {
 size_t ThreadPool::InFlightCount() const {
   std::lock_guard<std::mutex> lock(mu_);
   return in_flight_;
-}
-
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  if (n == 1 || workers_.size() == 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  // Dynamic scheduling over a shared counter: tasks grab the next index.
-  auto counter = std::make_shared<std::atomic<size_t>>(0);
-  const size_t num_tasks = std::min(n, workers_.size());
-  std::atomic<size_t> done{0};
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  for (size_t t = 0; t < num_tasks; ++t) {
-    Submit([&, counter] {
-      for (;;) {
-        const size_t i = counter->fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) break;
-        fn(i);
-      }
-      if (done.fetch_add(1) + 1 == num_tasks) {
-        std::lock_guard<std::mutex> lock(done_mu);
-        done_cv.notify_all();
-      }
-    });
-  }
-  std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return done.load() == num_tasks; });
 }
 
 void ThreadPool::WorkerLoop() {

@@ -44,10 +44,6 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-  /// fn must be safe to invoke concurrently for distinct i.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
  private:
   // Each queued task remembers when it was submitted so the worker can
   // attribute queue-wait time (pool_queue_wait_ns in src/obs/).

@@ -36,7 +36,7 @@ struct LearningCurveOptions {
   bool parallel = true;
   /// Engine lanes for the Monte-Carlo grid: 1 = serial on the calling
   /// thread, 0 = every pool worker, N > 1 = at most N lanes. Fitted
-  /// parameters are identical at any setting (see engine/parallel_for.h).
+  /// parameters are identical at any setting (see common/parallel_for.h).
   int num_threads = 0;
   uint64_t seed = 99;
   /// When non-empty, only these slices are estimated; the others receive

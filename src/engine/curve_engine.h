@@ -5,8 +5,9 @@
 // engine attacks this on two axes:
 //
 //  1. Parallelism — the Monte-Carlo grid is fanned out through
-//     engine::ParallelFor with per-cell RNG streams forked from the root
-//     seed, so fitted parameters are bit-identical at any thread count.
+//     ParallelFor (common/parallel_for.h) with per-cell RNG streams forked
+//     from the root seed, so fitted parameters are bit-identical at any
+//     thread count.
 //  2. Incrementality — in the spirit of incremental view maintenance, fitted
 //     (b, a) parameters are cached per slice keyed by a content hash of the
 //     slice's rows. After an acquisition round only the slices whose own

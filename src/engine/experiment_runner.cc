@@ -2,8 +2,8 @@
 
 #include <utility>
 
+#include "common/parallel_for.h"
 #include "common/stopwatch.h"
-#include "engine/task_graph.h"
 
 namespace slicetuner {
 namespace engine {
@@ -35,7 +35,6 @@ size_t ExperimentRunner::SubmitJob(Job job) {
     id = jobs_.size();
     name = job.name;
     jobs_.push_back(std::move(job));
-    pending_.fetch_add(1, std::memory_order_relaxed);
   }
   Emit(SessionEvent{id, name, SessionState::kQueued, 0.0, ""});
   return id;
@@ -75,10 +74,57 @@ size_t ExperimentRunner::SubmitTask(std::string name,
   return SubmitJob(std::move(job));
 }
 
-void ExperimentRunner::Emit(SessionEvent event) {
+void ExperimentRunner::Emit(const SessionEvent& event) {
   if (!options_.on_event) return;
-  std::lock_guard<std::mutex> lock(emit_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   options_.on_event(event);
+}
+
+void ExperimentRunner::RunSession(size_t id, const Job& job,
+                                  SessionResult* result) {
+  result->name = job.name;
+  bool cancelled;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    cancelled = cancelled_;
+  }
+  if (cancelled) {
+    result->status = Status::Cancelled("session cancelled before it started");
+    Emit(SessionEvent{id, job.name, SessionState::kCancelled, 0.0,
+                      result->status.ToString()});
+    return;
+  }
+  Emit(SessionEvent{id, job.name, SessionState::kRunning, 0.0, ""});
+
+  Stopwatch timer;
+  // A throwing body must still resolve its session in-band: escaping the
+  // ParallelFor lane would stop the loop handing out indices and leave the
+  // rest of the run unresolved.
+  Status status;
+  try {
+    Result<MethodOutcome> outcome = job.run();
+    status = outcome.status();
+    if (outcome.ok()) result->outcome = std::move(outcome).value();
+  } catch (const std::exception& e) {
+    status = Status::Internal("session \"" + job.name + "\" threw: " +
+                              e.what());
+  } catch (...) {
+    status = Status::Internal("session \"" + job.name +
+                              "\" threw a non-std exception");
+  }
+  result->status = status;
+  result->wall_seconds = timer.ElapsedSeconds();
+  if (status.ok()) {
+    Emit(SessionEvent{id, job.name, SessionState::kSucceeded,
+                      result->wall_seconds, ""});
+    return;
+  }
+  if (options_.cancel_on_failure) {
+    std::lock_guard<std::mutex> lock(mu_);
+    cancelled_ = true;
+  }
+  Emit(SessionEvent{id, job.name, SessionState::kFailed, result->wall_seconds,
+                    status.ToString()});
 }
 
 std::vector<SessionResult> ExperimentRunner::RunAll() {
@@ -90,65 +136,19 @@ std::vector<SessionResult> ExperimentRunner::RunAll() {
   {
     std::lock_guard<std::mutex> lock(jobs_mu_);
     snapshot = jobs_;
-    // Re-arm every queued session (a re-run resolves all of them again).
-    pending_.store(jobs_.size(), std::memory_order_relaxed);
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    cancelled_ = false;
   }
 
   std::vector<SessionResult> results(snapshot.size());
-  std::vector<char> resolved(snapshot.size(), 0);
-
-  // One independent TaskGraph task per session (a future session-chaining
-  // API would express cross-session dependencies here). Session failures
-  // are reported in-band through SessionResult, so every task returns OK
-  // and the graph only cancels siblings when cancel_on_failure asks for it.
-  const size_t cap =
-      options_.max_concurrent_sessions > 0
-          ? static_cast<size_t>(options_.max_concurrent_sessions)
-          : 0;
-  TaskGraph graph(/*root_seed=*/0, /*pool=*/nullptr, cap);
-  for (size_t id = 0; id < snapshot.size(); ++id) {
-    graph.Add(snapshot[id].name,
-              [this, &snapshot, &results, &resolved, &graph, id](
-                  TaskContext&) {
-      const Job& job = snapshot[id];
-      Stopwatch timer;
-      Emit(SessionEvent{id, job.name, SessionState::kRunning, 0.0, ""});
-
-      SessionResult& result = results[id];
-      result.name = job.name;
-      Result<MethodOutcome> outcome = job.run();
-      result.wall_seconds = timer.ElapsedSeconds();
-      resolved[id] = 1;
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      if (outcome.ok()) {
-        result.outcome = *outcome;
-        result.status = Status::OK();
-        Emit(SessionEvent{id, job.name, SessionState::kSucceeded,
-                          result.wall_seconds, ""});
-      } else {
-        result.status = outcome.status();
-        Emit(SessionEvent{id, job.name, SessionState::kFailed,
-                          result.wall_seconds, outcome.status().ToString()});
-        if (options_.cancel_on_failure) graph.Cancel();
-      }
-      return Status::OK();
-    });
-  }
-  const Status status = graph.Run();
-  (void)status;  // session failures are in-band; Run only fails on cancel
-
-  // Sessions skipped by a cancellation never ran their body: resolve them
-  // in-band so callers see a terminal state for every submission.
-  for (size_t id = 0; id < snapshot.size(); ++id) {
-    if (resolved[id]) continue;
-    results[id].name = snapshot[id].name;
-    results[id].status =
-        Status::Cancelled("session cancelled before it started");
-    pending_.fetch_sub(1, std::memory_order_relaxed);
-    Emit(SessionEvent{id, snapshot[id].name, SessionState::kCancelled, 0.0,
-                      results[id].status.ToString()});
-  }
-
+  ParallelOptions parallel;
+  parallel.num_threads = options_.max_concurrent_sessions;
+  ParallelFor(
+      snapshot.size(),
+      [&](size_t id) { RunSession(id, snapshot[id], &results[id]); },
+      parallel);
   return results;
 }
 

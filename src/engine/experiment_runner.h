@@ -4,17 +4,17 @@
 // SliceTuner configurations — lambda sweeps, budget sweeps, baseline
 // comparisons — that are completely independent of one another. The runner
 // gives them a session API: Submit() queues a named (config, method) pair,
-// RunAll() executes every queued session concurrently over the shared
-// thread pool and returns results in submission order, streaming per-session
-// state transitions (queued -> running -> succeeded/failed) to an optional
-// observer as they happen.
+// RunAll() executes every queued session concurrently through the shared
+// pool's capped ParallelFor (common/parallel_for.h) and returns results in
+// submission order, streaming per-session state transitions (queued ->
+// running -> succeeded/failed) to an optional observer as they happen.
 //
 // Sessions need not be paper experiments: SubmitTask() queues any
 // Status-returning callable under the same scheduling, streaming, and
 // cancellation machinery (the simulation subsystem fans scenario x method
 // grids out this way). With cancel_on_failure set, the first failed session
 // cancels every session that has not started yet; those resolve as
-// kCancelled.
+// kCancelled. A session that throws resolves in-band as kFailed (Internal).
 //
 // Determinism: each session's outcome depends only on its own config (seed
 // included), never on scheduling, so a sweep run with 1 or N concurrent
@@ -25,7 +25,6 @@
 #ifndef SLICETUNER_ENGINE_EXPERIMENT_RUNNER_H_
 #define SLICETUNER_ENGINE_EXPERIMENT_RUNNER_H_
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <mutex>
@@ -102,14 +101,6 @@ class ExperimentRunner {
 
   size_t num_sessions() const;
 
-  /// Sessions awaiting resolution: queued sessions plus, while RunAll is in
-  /// flight, the sessions of that run that have not reached a terminal
-  /// state. Safe to read from any thread — the queue-depth signal admission
-  /// control (serve/admission.h) sheds load on.
-  size_t pending_sessions() const {
-    return pending_.load(std::memory_order_relaxed);
-  }
-
   /// Runs every queued session and blocks until all finish. Results are in
   /// submission order; per-session failures are reported in-band (the run
   /// itself only fails fast on internal errors). The queue stays intact, so
@@ -122,7 +113,7 @@ class ExperimentRunner {
   /// RunAll (whose results then cover every session submitted so far).
   /// cancel_on_failure only cancels sessions that have not started; a
   /// session already running when a sibling fails always runs to completion
-  /// and reports its own result.
+  /// and reports its own result. Runs of one runner must not overlap.
   std::vector<SessionResult> RunAll();
 
  private:
@@ -133,13 +124,18 @@ class ExperimentRunner {
   };
 
   size_t SubmitJob(Job job);
-  void Emit(SessionEvent event);
+  void Emit(const SessionEvent& event);
+  /// One ParallelFor body of RunAll: runs session `id` into `result`.
+  void RunSession(size_t id, const Job& job, SessionResult* result);
 
   Options options_;
   std::vector<Job> jobs_;
   mutable std::mutex jobs_mu_;
-  std::mutex emit_mu_;
-  std::atomic<size_t> pending_{0};
+  // Serializes observer calls and guards cancelled_. A failing session sets
+  // cancelled_ before it emits kFailed, so anything that event wakes —
+  // a sibling finishing and freeing its lane — already sees it.
+  std::mutex mu_;
+  bool cancelled_ = false;
 };
 
 }  // namespace engine

@@ -13,7 +13,6 @@ namespace serve {
 AdmissionController::AdmissionController(AdmissionOptions options)
     : options_(std::move(options)) {
   if (options_.max_queue_depth == 0) options_.max_queue_depth = 1;
-  if (options_.max_batch == 0) options_.max_batch = 1;
   if (options_.num_shards == 0) options_.num_shards = 1;
   queues_.resize(options_.num_shards);
 }
@@ -68,25 +67,16 @@ Status AdmissionController::Admit(uint64_t session_id) {
   return Status::OK();
 }
 
-std::vector<uint64_t> AdmissionController::NextBatch(size_t shard) {
+std::optional<uint64_t> AdmissionController::Next(size_t shard) {
   std::unique_lock<std::mutex> lock(mu_);
-  shard %= options_.num_shards;
-  std::deque<uint64_t>& queue = queues_[shard];
+  std::deque<uint64_t>& queue = queues_[shard % options_.num_shards];
   work_cv_.wait(lock, [this, &queue] { return stopped_ || !queue.empty(); });
-  std::vector<uint64_t> batch;
-  const size_t take = std::min(queue.size(), options_.max_batch);
-  batch.reserve(take);
-  for (size_t i = 0; i < take; ++i) {
-    batch.push_back(queue.front());
-    queue.pop_front();
-  }
-  if (!batch.empty()) {
-    ++stats_.batches;
-    ServeMetrics::Get().batch_size->Record(batch.size());
-    ServeMetrics::Get().queue_depth->Set(
-        static_cast<double>(TotalDepthLocked()));
-  }
-  return batch;
+  if (queue.empty()) return std::nullopt;
+  const uint64_t id = queue.front();
+  queue.pop_front();
+  ServeMetrics::Get().queue_depth->Set(
+      static_cast<double>(TotalDepthLocked()));
+  return id;
 }
 
 void AdmissionController::AdmitCancel(uint64_t session_id) {
@@ -113,11 +103,6 @@ void AdmissionController::Stop() {
   }
   work_cv_.notify_all();
   cancel_cv_.notify_all();
-}
-
-bool AdmissionController::stopped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stopped_;
 }
 
 size_t AdmissionController::depth() const {

@@ -1,6 +1,6 @@
 // Admission control for the tuning service: bounded session-affinity
-// sharded FIFOs with load shedding and micro-batching, plus an unbounded
-// cancel-resolution lane.
+// sharded FIFOs with load shedding, plus an unbounded cancel-resolution
+// lane.
 //
 //  * Shedding — Admit() rejects with ResourceExhausted (and a retry-after
 //    hint the protocol layer forwards to clients) when the queues hold
@@ -9,11 +9,11 @@
 //    pool already saturated. Rejecting at the door keeps latency bounded
 //    instead of letting the queue grow without limit.
 //
-//  * Micro-batching — NextBatch(shard) blocks until work arrives on that
-//    shard, then drains up to max_batch compatible sessions at once. The
-//    dispatcher fans the whole batch out through one
-//    ExperimentRunner::RunAll, so concurrent curve-estimation jobs share
-//    one engine fan-out instead of serializing per-request.
+//  * Dispatch — Next(shard) blocks until a session is queued on that
+//    shard and pops exactly one. The server's dispatcher calls it only
+//    while it holds a free in-flight slot (server.h), so sessions waiting
+//    for a slot stay queued here, where shedding and the shutdown-cancels-
+//    queued contract still see them.
 //
 //  * Session affinity — a session id always lands on shard
 //    `id % num_shards`, so every job of one session is dispatched by the
@@ -36,6 +36,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -46,8 +47,6 @@ namespace serve {
 struct AdmissionOptions {
   /// Queue slots (across all shards) before Admit sheds load.
   size_t max_queue_depth = 16;
-  /// Sessions drained per NextBatch (one engine fan-out).
-  size_t max_batch = 8;
   /// Retry hint attached to shed rejections.
   int retry_after_ms = 50;
   /// When > 0, Admit also sheds while backlog_probe() exceeds this bound.
@@ -63,7 +62,6 @@ struct AdmissionStats {
   size_t admitted = 0;
   size_t shed_queue_full = 0;
   size_t shed_backlog = 0;
-  size_t batches = 0;
   size_t max_depth_seen = 0;
   size_t cancels_admitted = 0;
 };
@@ -77,10 +75,10 @@ class AdmissionController {
   /// caller via retry_after_ms().
   Status Admit(uint64_t session_id);
 
-  /// Blocks until at least one session is queued on `shard` (returning up
-  /// to max_batch of them, FIFO) or Stop() was called (returning what is
-  /// left on the shard, possibly empty).
-  std::vector<uint64_t> NextBatch(size_t shard = 0);
+  /// Blocks until a session is queued on `shard` and pops it (FIFO). After
+  /// Stop() it keeps popping what is left on the shard, then returns
+  /// nullopt.
+  std::optional<uint64_t> Next(size_t shard = 0);
 
   /// Enqueues a session on the cancel-resolution lane (unbounded, never
   /// shed; accepted even after Stop so in-flight sheds still resolve).
@@ -90,10 +88,9 @@ class AdmissionController {
   /// called (returning what is left, possibly empty).
   std::vector<uint64_t> NextCancels();
 
-  /// Unblocks NextBatch/NextCancels; subsequent Admit calls fail
+  /// Unblocks Next/NextCancels; subsequent Admit calls fail
   /// FailedPrecondition.
   void Stop();
-  bool stopped() const;
 
   /// Queued sessions across all shards (cancel lane excluded).
   size_t depth() const;

@@ -53,7 +53,6 @@ struct ServeMetrics {
   obs::Counter* cancels_resolved =
       registry.counter("serve_cancels_resolved_total");
   obs::Gauge* queue_depth = registry.gauge("serve_queue_depth");
-  obs::Histogram* batch_size = registry.histogram("serve_batch_size");
 
   // Sessions / jobs.
   obs::Gauge* sessions = registry.gauge("serve_sessions");

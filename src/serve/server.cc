@@ -9,14 +9,16 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/trace_context.h"
-#include "engine/experiment_runner.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "serve/serve_metrics.h"
@@ -31,7 +33,7 @@ namespace {
 constexpr uint64_t kListenTag = 0;
 
 // Idle tick of a worker with no live streams: nothing to flush on a
-// cadence, and the dispatcher/cancel/shutdown paths Wake() it explicitly.
+// cadence, and the job/cancel/shutdown paths Wake() it explicitly.
 constexpr int kIdlePollMs = 200;
 
 // Events a `trace` request returns when the client names no limit.
@@ -220,7 +222,6 @@ json::Value TuningServer::StatsJson() const {
                      shed_restoring_.load(std::memory_order_relaxed));
   admission_json.Set("retry_after_sent",
                      retry_after_sent_.load(std::memory_order_relaxed));
-  admission_json.Set("batches", admission.batches);
   admission_json.Set("max_depth_seen", admission.max_depth_seen);
   admission_json.Set("queue_depth", admission_.depth());
   admission_json.Set("cancels_admitted", admission.cancels_admitted);
@@ -272,46 +273,61 @@ json::Value TuningServer::StatsJson() const {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatchers: admission shards -> one engine fan-out per micro-batch.
+// Dispatchers: admitted sessions go straight onto the shared pool, at most
+// max_concurrent_sessions in flight per shard.
 // ---------------------------------------------------------------------------
 
 void TuningServer::DispatchLoop(size_t shard) {
+  const size_t cap =
+      options_.max_concurrent_sessions > 0
+          ? static_cast<size_t>(options_.max_concurrent_sessions)
+          : DefaultThreadPool().num_threads();
+  // A job frees its slot and notifies under `mu`, so the final wait cannot
+  // return (destroying these locals) while a job still touches them.
+  std::mutex mu;
+  std::condition_variable slot_freed;
+  size_t in_flight = 0;
+  auto release_slot = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    --in_flight;
+    slot_freed.notify_one();
+  };
   for (;;) {
-    const std::vector<uint64_t> batch = admission_.NextBatch(shard);
-    if (batch.empty()) {
-      if (admission_.stopped()) return;
+    // Claim a slot before popping: sessions waiting for one stay queued in
+    // admission, where shedding and shutdown still see them.
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      slot_freed.wait(lock, [&] { return in_flight < cap; });
+      ++in_flight;
+    }
+    const std::optional<uint64_t> id = admission_.Next(shard);
+    TuningSession* session = id ? sessions_.FindById(*id) : nullptr;
+    if (session == nullptr) {
+      release_slot();
+      if (!id) break;  // stopped and drained
       continue;
     }
-    // Batches drained after a shutdown request are queued-but-unstarted
-    // work: cancel them up front so RunJob resolves each one cancelled
-    // without running, honoring the graceful-shutdown contract (server.h).
-    const bool cancel_batch =
-        shutdown_requested_.load(std::memory_order_relaxed);
     obs::ScopedTimer dispatch_timer(ServeMetrics::Get().dispatch_ns);
-    engine::ExperimentRunner::Options runner_options;
-    runner_options.max_concurrent_sessions = options_.max_concurrent_sessions;
-    engine::ExperimentRunner runner(runner_options);
-    for (const uint64_t id : batch) {
-      TuningSession* session = sessions_.FindById(id);
-      if (session == nullptr) continue;
-      if (cancel_batch) session->RequestCancel();
-      obs::Recorder::Global().Record(obs::EventKind::kDispatch,
-                                     session->trace_id(),
-                                     session->name().c_str(),
-                                     static_cast<int64_t>(shard));
-      runner.SubmitTask(session->name(),
-                        [session] { return session->RunJob(); });
+    // Popped after a shutdown request means queued but never started:
+    // RunJob resolves it cancelled without running (server.h).
+    if (shutdown_requested_.load(std::memory_order_relaxed)) {
+      session->RequestCancel();
     }
-    // RunAll resolves every submitted session (cancel_on_failure is off, so
-    // nothing is skipped); a session must not be touched again afterwards —
-    // a worker may already have resumed and re-admitted it.
-    for (const engine::SessionResult& result : runner.RunAll()) {
-      sessions_.RecordOutcome(result.status);
-    }
-    // The batch's subscribers have done frames waiting; don't make them
-    // ride out an idle worker's full poll timeout.
-    WakeWorkers();
+    obs::Recorder::Global().Record(obs::EventKind::kDispatch,
+                                   session->trace_id(),
+                                   session->name().c_str(),
+                                   static_cast<int64_t>(shard));
+    DefaultThreadPool().Submit([this, session, &release_slot] {
+      // The session must not be touched once RunJob returns: a worker may
+      // already have resumed and re-admitted it.
+      sessions_.RecordOutcome(session->RunJob());
+      WakeWorkers();  // flush its done frame now, not on an idle tick
+      release_slot();
+    });
   }
+  // Wait() quiesces on this: no job of the shard outlives its dispatcher.
+  std::unique_lock<std::mutex> lock(mu);
+  slot_freed.wait(lock, [&] { return in_flight == 0; });
 }
 
 // ---------------------------------------------------------------------------
@@ -321,22 +337,20 @@ void TuningServer::DispatchLoop(size_t shard) {
 void TuningServer::CancelLoop() {
   for (;;) {
     const std::vector<uint64_t> cancels = admission_.NextCancels();
-    if (cancels.empty()) {
-      if (admission_.stopped()) return;
-      continue;
-    }
+    if (cancels.empty()) return;  // stopped and drained
     for (const uint64_t id : cancels) {
       TuningSession* session = sessions_.FindById(id);
       if (session == nullptr) continue;
       // The cancel flag is already set, so RunJob resolves the session
-      // cancelled in O(1) without running the job. FailedPrecondition
-      // means it was no longer queued (already resolved); skip the
-      // outcome so nothing is double-counted.
-      const Status status = session->RunJob();
+      // cancelled in O(1) without running the job, counting it before the
+      // phase publishes. FailedPrecondition means it was no longer queued
+      // (already resolved); skip the outcome so nothing is double-counted.
+      const Status status = session->RunJob([this] {
+        cancels_resolved_.fetch_add(1, std::memory_order_relaxed);
+        ServeMetrics::Get().cancels_resolved->Add();
+      });
       if (status.code() == StatusCode::kFailedPrecondition) continue;
       sessions_.RecordOutcome(status);
-      cancels_resolved_.fetch_add(1, std::memory_order_relaxed);
-      ServeMetrics::Get().cancels_resolved->Add();
     }
     WakeWorkers();  // flush the resolved sessions' done frames promptly
   }

@@ -5,10 +5,10 @@
 // request handling, stream flushing, and teardown all happen on that one
 // thread, so connection state needs no locks and fds never migrate between
 // threads (src/serve/event_loop.h, connection.h). One dispatcher thread
-// per admission shard drains its shard in micro-batches and fans each
-// batch out through one engine::ExperimentRunner::RunAll over the shared
+// per admission shard pops one session per free in-flight slot (at most
+// max_concurrent_sessions) and submits its RunJob straight onto the shared
 // thread pool; a session's id pins it to one shard, so a hot session can
-// only ever stall its own dispatcher. A dedicated cancel-resolver thread
+// only ever fill its own shard's slots. A dedicated cancel-resolver thread
 // resolves pending cancels (shed resumptions, explicit cancels of queued
 // sessions) so no worker or dispatcher ever blocks on a session's RunJob
 // for them. Progress frames appended by running sessions are flushed to
@@ -16,7 +16,7 @@
 // output backpressure (connection.h).
 //
 // Graceful shutdown (shutdown request or RequestShutdown()): the workers
-// stop admitting, the admission queues unblock the dispatchers, batches in
+// stop admitting, the admission queues unblock the dispatchers, jobs in
 // flight run to completion (queued-but-unstarted sessions resolve
 // cancelled), streams are closed out with done frames, and Wait() returns.
 
@@ -48,12 +48,12 @@ struct ServerOptions {
   /// Port to bind on 127.0.0.1; 0 picks an ephemeral port (read it back
   /// with port()).
   int port = 0;
-  /// Concurrent sessions per batched fan-out: 0 = one per pool lane.
+  /// Sessions in flight per admission shard: 0 = one per pool worker.
   int max_concurrent_sessions = 0;
   /// admission.num_shards also sets the dispatcher thread count.
   AdmissionOptions admission;
   /// Stream-flush cadence of a worker with live streams; idle workers
-  /// sleep longer and are woken by the dispatcher/shutdown.
+  /// sleep longer and are woken by finished jobs/shutdown.
   int poll_interval_ms = 20;
   /// Epoll worker threads; 0 = min(4, hardware_concurrency).
   int num_workers = 0;

@@ -212,11 +212,6 @@ json::Value TuningSession::Snapshot() const {
   return out;
 }
 
-void TuningSession::AppendFrame(json::Value frame) {
-  std::lock_guard<std::mutex> lock(mu_);
-  frames_.push_back(std::move(frame));
-}
-
 Status TuningSession::Resume(JobSpec job) {
   std::lock_guard<std::mutex> lock(mu_);
   if (phase_ == SessionPhase::kQueued || phase_ == SessionPhase::kRunning) {
@@ -250,7 +245,7 @@ Status TuningSession::Resume(JobSpec job) {
   return Status::OK();
 }
 
-Status TuningSession::RunJob() {
+Status TuningSession::RunJob(const std::function<void()>& on_resolved) {
   JobSpec job;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -263,6 +258,7 @@ Status TuningSession::RunJob() {
       phase_ = SessionPhase::kCancelled;
       last_status_ = Status::Cancelled("cancelled before start");
       ServeMetrics::Get().jobs_cancelled->Add();
+      if (on_resolved) on_resolved();
       phase_cv_.notify_all();
       return last_status_;
     }
@@ -365,6 +361,7 @@ Status TuningSession::RunJob() {
       event.Set("curve_a", std::move(a));
     }
     LogEventLocked(std::move(event));
+    if (on_resolved) on_resolved();
     phase_cv_.notify_all();
   }
   obs::Recorder::Global().RecordHere(

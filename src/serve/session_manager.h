@@ -7,10 +7,9 @@
 // maintenance-under-updates contract of the ROADMAP).
 //
 // Threading: the server's poll loop reads snapshots/frames and requests
-// cancellation while the dispatcher thread executes RunJob on an engine
-// lane; all session state is guarded by one per-session mutex (the tuner
-// itself is only touched by RunJob, which the phase machine keeps
-// single-flight).
+// cancellation while a shared-pool worker executes RunJob; all session
+// state is guarded by one per-session mutex (the tuner itself is only
+// touched by RunJob, which the phase machine keeps single-flight).
 //
 // Durability (src/store/, docs/STATE.md): when a store::DurableStore is
 // attached, every session journals its lifecycle — create / resume /
@@ -82,8 +81,10 @@ class TuningSession {
   /// appends the resubmission's rows), then runs `rounds` estimate ->
   /// optimize -> acquire rounds, appending one progress frame per round.
   /// Cancellation is honored at round boundaries. Returns the job's status
-  /// and moves the phase to done/cancelled/failed.
-  Status RunJob();
+  /// and moves the phase to done/cancelled/failed. `on_resolved`, when set,
+  /// runs under the session lock just before that terminal phase publishes,
+  /// so whatever it records is visible to every WaitTerminal it wakes.
+  Status RunJob(const std::function<void()>& on_resolved = nullptr);
 
   /// Installs the trace id of the submit that armed the pending job. The
   /// server calls this right after Register/Resume, before admission hands
@@ -161,8 +162,6 @@ class TuningSession {
  private:
   Status ExecuteJob(const JobSpec& job);
   Status RunRounds(const JobSpec& job);
-  void Finish(const Status& status);
-  void AppendFrame(json::Value frame);
   /// Builds the session's data world from its creation job (cold path of
   /// ExecuteJob and the recovery replay). Sets source_/tuner_/rows_.
   Status BuildWorld(const JobSpec& job);

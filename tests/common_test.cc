@@ -519,34 +519,22 @@ TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(256);
-  pool.ParallelFor(256, [&](size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForZeroAndOne) {
-  ThreadPool pool(2);
-  pool.ParallelFor(0, [](size_t) { FAIL() << "must not be called"; });
-  int calls = 0;
-  pool.ParallelFor(1, [&](size_t i) {
-    EXPECT_EQ(i, 0u);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 1);
-}
-
 TEST(ThreadPoolTest, SingleThreadPoolWorks) {
   ThreadPool pool(1);
   std::atomic<int> counter{0};
-  pool.ParallelFor(10, [&](size_t) { counter.fetch_add(1); });
+  for (int i = 0; i < 10; ++i) {
+    pool.Submit([&counter] { counter.fetch_add(1); });
+  }
+  pool.WaitIdle();
   EXPECT_EQ(counter.load(), 10);
 }
 
 TEST(ThreadPoolTest, DefaultPoolIsUsable) {
   std::atomic<int> counter{0};
-  DefaultThreadPool().ParallelFor(8, [&](size_t) { counter.fetch_add(1); });
+  for (int i = 0; i < 8; ++i) {
+    DefaultThreadPool().Submit([&counter] { counter.fetch_add(1); });
+  }
+  DefaultThreadPool().WaitIdle();
   EXPECT_EQ(counter.load(), 8);
   EXPECT_GE(DefaultThreadPool().num_threads(), 1u);
 }

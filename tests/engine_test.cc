@@ -1,6 +1,6 @@
-// Tests for the execution engine: TaskGraph ordering and cancellation,
-// ParallelFor coverage / nesting / cross-thread-count determinism, the
-// curve engine's content-hash cache, and the ExperimentRunner session API.
+// Tests for the execution engine: ParallelFor coverage / nesting /
+// cross-thread-count determinism, the curve engine's content-hash cache,
+// and the ExperimentRunner session API.
 
 #include <gtest/gtest.h>
 
@@ -11,150 +11,15 @@
 #include <stdexcept>
 #include <thread>
 
+#include "common/parallel_for.h"
 #include "core/experiment.h"
 #include "data/synthetic.h"
 #include "engine/curve_engine.h"
 #include "engine/experiment_runner.h"
-#include "engine/parallel_for.h"
-#include "engine/task_graph.h"
 
 namespace slicetuner {
 namespace engine {
 namespace {
-
-// ---------------------------------------------------------------------------
-// TaskGraph
-// ---------------------------------------------------------------------------
-
-TEST(TaskGraphTest, RespectsDependencyOrder) {
-  ThreadPool pool(4);
-  TaskGraph graph(/*root_seed=*/1, &pool);
-  std::mutex mu;
-  std::vector<TaskId> order;
-  auto record = [&](TaskId id) {
-    std::lock_guard<std::mutex> lock(mu);
-    order.push_back(id);
-  };
-  auto task = [&](const char* name, std::vector<TaskId> deps) {
-    return graph.Add(name,
-                     [&record, &graph](TaskContext& ctx) {
-                       record(ctx.id);
-                       return Status::OK();
-                     },
-                     std::move(deps));
-  };
-  // Diamond: a -> {b, c} -> d.
-  const TaskId a = task("a", {});
-  const TaskId b = task("b", {a});
-  const TaskId c = task("c", {a});
-  const TaskId d = task("d", {b, c});
-
-  ASSERT_TRUE(graph.Run().ok());
-  ASSERT_EQ(order.size(), 4u);
-  auto position = [&](TaskId id) {
-    return std::find(order.begin(), order.end(), id) - order.begin();
-  };
-  EXPECT_LT(position(a), position(b));
-  EXPECT_LT(position(a), position(c));
-  EXPECT_LT(position(b), position(d));
-  EXPECT_LT(position(c), position(d));
-  for (TaskId id : {a, b, c, d}) {
-    EXPECT_EQ(graph.state(id), TaskState::kSucceeded);
-    EXPECT_TRUE(graph.future(id).get().ok());
-  }
-}
-
-TEST(TaskGraphTest, FailureSkipsDependentsAndReportsFirstError) {
-  ThreadPool pool(2);
-  TaskGraph graph(1, &pool);
-  const TaskId a = graph.Add("a", [](TaskContext&) {
-    return Status::Internal("boom");
-  });
-  std::atomic<bool> ran_b{false};
-  const TaskId b = graph.Add(
-      "b",
-      [&](TaskContext&) {
-        ran_b = true;
-        return Status::OK();
-      },
-      {a});
-
-  const Status status = graph.Run();
-  EXPECT_EQ(status.code(), StatusCode::kInternal);
-  EXPECT_EQ(graph.state(a), TaskState::kFailed);
-  EXPECT_EQ(graph.state(b), TaskState::kSkipped);
-  EXPECT_FALSE(ran_b.load());
-  EXPECT_EQ(graph.future(b).get().code(), StatusCode::kCancelled);
-}
-
-TEST(TaskGraphTest, CancelSkipsPendingTasks) {
-  ThreadPool pool(2);
-  TaskGraph graph(1, &pool);
-  // a cancels the graph from inside; its dependent must never run.
-  const TaskId a = graph.Add("a", [&](TaskContext&) {
-    graph.Cancel();
-    return Status::OK();
-  });
-  std::atomic<bool> ran_b{false};
-  const TaskId b = graph.Add(
-      "b",
-      [&](TaskContext&) {
-        ran_b = true;
-        return Status::OK();
-      },
-      {a});
-
-  const Status status = graph.Run();
-  EXPECT_EQ(status.code(), StatusCode::kCancelled);
-  EXPECT_EQ(graph.state(a), TaskState::kSucceeded);
-  EXPECT_EQ(graph.state(b), TaskState::kSkipped);
-  EXPECT_FALSE(ran_b.load());
-}
-
-TEST(TaskGraphTest, ThrowingTaskResolvesAsFailureInsteadOfTerminating) {
-  ThreadPool pool(2);
-  TaskGraph graph(1, &pool);
-  const TaskId a = graph.Add("thrower", [](TaskContext&) -> Status {
-    throw std::runtime_error("boom");
-  });
-  std::atomic<bool> ran_b{false};
-  const TaskId b = graph.Add(
-      "b",
-      [&](TaskContext&) {
-        ran_b = true;
-        return Status::OK();
-      },
-      {a});
-
-  const Status status = graph.Run();
-  EXPECT_EQ(status.code(), StatusCode::kInternal);
-  EXPECT_EQ(graph.state(a), TaskState::kFailed);
-  EXPECT_NE(graph.future(a).get().message().find("boom"), std::string::npos);
-  EXPECT_EQ(graph.state(b), TaskState::kSkipped);
-  EXPECT_FALSE(ran_b.load());
-}
-
-TEST(TaskGraphTest, PerTaskRngIsStableAndDistinct) {
-  auto collect = [](size_t num_tasks) {
-    ThreadPool pool(4);
-    TaskGraph graph(/*root_seed=*/99, &pool);
-    std::vector<uint64_t> draws(num_tasks);
-    for (size_t i = 0; i < num_tasks; ++i) {
-      graph.Add("t", [&draws](TaskContext& ctx) {
-        draws[ctx.id] = ctx.rng();
-        return Status::OK();
-      });
-    }
-    EXPECT_TRUE(graph.Run().ok());
-    return draws;
-  };
-  const std::vector<uint64_t> first = collect(8);
-  const std::vector<uint64_t> second = collect(8);
-  EXPECT_EQ(first, second);  // stable across runs/scheduling
-  for (size_t i = 1; i < first.size(); ++i) {
-    EXPECT_NE(first[0], first[i]);  // distinct per task
-  }
-}
 
 // ---------------------------------------------------------------------------
 // ParallelFor
@@ -552,7 +417,6 @@ TEST(ExperimentRunnerTest, SubmitRacingRunAllDefersToTheNextRun) {
     return Status::OK();
   });
   EXPECT_EQ(runner.num_sessions(), 2u);
-  EXPECT_EQ(runner.pending_sessions(), 2u);  // 1 running + 1 queued
   {
     std::lock_guard<std::mutex> lock(mu);
     late_submitted = true;
@@ -563,13 +427,11 @@ TEST(ExperimentRunnerTest, SubmitRacingRunAllDefersToTheNextRun) {
   ASSERT_EQ(first_results.size(), 1u);
   EXPECT_TRUE(first_results[0].status.ok());
   EXPECT_EQ(late_runs.load(), 0);
-  EXPECT_EQ(runner.pending_sessions(), 1u);  // the deferred session
 
   const std::vector<SessionResult> second_results = runner.RunAll();
   ASSERT_EQ(second_results.size(), 2u);
   EXPECT_TRUE(second_results[1].status.ok());
   EXPECT_EQ(late_runs.load(), 1);
-  EXPECT_EQ(runner.pending_sessions(), 0u);
 }
 
 TEST(ExperimentRunnerTest, CancelOnFailureSparesSessionsAlreadyRunning) {
@@ -623,17 +485,41 @@ TEST(ExperimentRunnerTest, CancelOnFailureSparesSessionsAlreadyRunning) {
   EXPECT_FALSE(third_ran.load());
 }
 
-TEST(ExperimentRunnerTest, PendingSessionsTracksQueueDepth) {
-  ExperimentRunner runner;
-  EXPECT_EQ(runner.pending_sessions(), 0u);
-  runner.SubmitTask("a", [] { return Status::OK(); });
-  runner.SubmitTask("b", [] { return Status::OK(); });
-  EXPECT_EQ(runner.pending_sessions(), 2u);
-  (void)runner.RunAll();
-  EXPECT_EQ(runner.pending_sessions(), 0u);
-  // A re-run re-arms the intact queue and drains it again.
-  (void)runner.RunAll();
-  EXPECT_EQ(runner.pending_sessions(), 0u);
+TEST(ExperimentRunnerTest, ThrowingTaskResolvesAsFailureInsteadOfTerminating) {
+  // A throwing session resolves in-band as Internal (never as "cancelled
+  // before it started"), and under cancel_on_failure it cancels the
+  // sessions behind it like any other failure.
+  std::vector<SessionEvent> events;
+  ExperimentRunner::Options options;
+  options.max_concurrent_sessions = 1;
+  options.cancel_on_failure = true;
+  options.on_event = [&events](const SessionEvent& event) {
+    events.push_back(event);
+  };
+  ExperimentRunner runner(options);
+  runner.SubmitTask("thrower", []() -> Status {
+    throw std::runtime_error("boom");
+  });
+  std::atomic<bool> ran_b{false};
+  runner.SubmitTask("b", [&] {
+    ran_b = true;
+    return Status::OK();
+  });
+
+  const std::vector<SessionResult> results = runner.RunAll();
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].status.code(), StatusCode::kInternal);
+  EXPECT_NE(results[0].status.message().find("boom"), std::string::npos);
+  EXPECT_EQ(results[1].status.code(), StatusCode::kCancelled);
+  EXPECT_FALSE(ran_b.load());
+  std::vector<SessionState> thrower_states;
+  for (const SessionEvent& e : events) {
+    if (e.session_id == 0) thrower_states.push_back(e.state);
+  }
+  EXPECT_EQ(thrower_states,
+            (std::vector<SessionState>{SessionState::kQueued,
+                                       SessionState::kRunning,
+                                       SessionState::kFailed}));
 }
 
 TEST(ExperimentRunnerTest, ConcurrencyDoesNotChangeOutcomes) {

@@ -110,7 +110,7 @@ TEST(ServeSmokeTest, SubmitStreamCancelShutdownViaRealBinaries) {
   (void)RunCommand("rm -f " + dump_path);
   int port = 0;
   std::FILE* server = LaunchServer(
-      "--max-queue=8 --max-batch=4 --metrics-dump=" + dump_path, &port);
+      "--max-queue=8 --metrics-dump=" + dump_path, &port);
   ASSERT_NE(server, nullptr);
   ASSERT_GT(port, 0) << "server never printed its listen banner";
   char buf[4096];

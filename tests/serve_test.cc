@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -142,17 +143,17 @@ TEST(AdmissionTest, ShedsWhenQueueFull) {
   EXPECT_EQ(admission.stats().shed_queue_full, 1u);
 }
 
-TEST(AdmissionTest, DrainsFifoInMicroBatches) {
+TEST(AdmissionTest, DrainsFifoOneSessionAtATime) {
   AdmissionOptions options;
   options.max_queue_depth = 16;
-  options.max_batch = 3;
   AdmissionController admission(options);
   for (uint64_t id = 1; id <= 5; ++id) {
     ASSERT_TRUE(admission.Admit(id).ok());
   }
-  EXPECT_EQ(admission.NextBatch(), (std::vector<uint64_t>{1, 2, 3}));
-  EXPECT_EQ(admission.NextBatch(), (std::vector<uint64_t>{4, 5}));
-  EXPECT_EQ(admission.stats().batches, 2u);
+  for (uint64_t id = 1; id <= 5; ++id) {
+    EXPECT_EQ(admission.Next(), std::optional<uint64_t>(id));
+    EXPECT_EQ(admission.depth(), 5u - id);
+  }
   EXPECT_EQ(admission.stats().max_depth_seen, 5u);
 }
 
@@ -175,9 +176,9 @@ TEST(AdmissionTest, StopUnblocksWaitersAndDrainsRemainder) {
   AdmissionController admission;
   ASSERT_TRUE(admission.Admit(7).ok());
   std::thread stopper([&admission] { admission.Stop(); });
-  // First batch drains the leftover, the second observes shutdown.
-  EXPECT_EQ(admission.NextBatch(), std::vector<uint64_t>{7});
-  EXPECT_TRUE(admission.NextBatch().empty());
+  // The first pop drains the leftover, the second observes shutdown.
+  EXPECT_EQ(admission.Next(), std::optional<uint64_t>(7));
+  EXPECT_EQ(admission.Next(), std::nullopt);
   stopper.join();
   EXPECT_EQ(admission.Admit(8).code(), StatusCode::kFailedPrecondition);
 }
@@ -456,8 +457,7 @@ TEST(TuningServerTest, MetricsVerbExposesInstrumentedStack) {
        {"serve_stage_ns{stage=\"parse\"}", "serve_stage_ns{stage=\"admit\"}",
         "serve_stage_ns{stage=\"dispatch\"}",
         "serve_stage_ns{stage=\"run\"}", "serve_submit_to_done_ns",
-        "serve_round_stage_ns{stage=\"estimate\"}", "serve_batch_size",
-        "engine_task_wait_ns"}) {
+        "serve_round_stage_ns{stage=\"estimate\"}"}) {
     const json::Value* h = histograms->Find(key);
     ASSERT_NE(h, nullptr) << key;
     EXPECT_GE(h->GetInt("count"), 1) << key;
@@ -552,8 +552,8 @@ TEST(TuningServerTest, CancelStopsARunningSession) {
 
 TEST(TuningServerTest, ShedsLoadWithRetryAfterWhenQueueIsFull) {
   ServerOptions options;
+  options.max_concurrent_sessions = 1;
   options.admission.max_queue_depth = 1;
-  options.admission.max_batch = 1;
   options.admission.retry_after_ms = 40;
   TuningServer server(options);
   ASSERT_TRUE(server.Start().ok());
@@ -612,15 +612,18 @@ TEST(TuningServerTest, OversizedRequestLineIsRejectedAndDropped) {
 }
 
 TEST(TuningServerTest, ShutdownCancelsQueuedSessions) {
-  // The graceful-shutdown contract (server.h): the batch in flight runs to
+  // The graceful-shutdown contract (server.h): the job in flight runs to
   // completion, but sessions still queued when shutdown is requested must
   // resolve cancelled without running.
-  TuningServer server;
+  ServerOptions options;
+  options.max_concurrent_sessions = 1;
+  TuningServer server(options);
   ASSERT_TRUE(server.Start().ok());
   auto connection = ClientConnection::Connect(server.port());
   ASSERT_TRUE(connection.ok());
 
-  // Occupy the dispatcher with a long-running batch before queueing more.
+  // Occupy the shard's only slot with a long-running job before queueing
+  // more.
   auto submitted = connection->Call(SubmitRequest(SmallJob("runner", 500)));
   ASSERT_TRUE(submitted.ok());
   ASSERT_TRUE(IsOkResponse(*submitted)) << submitted->Dump();
@@ -639,7 +642,7 @@ TEST(TuningServerTest, ShutdownCancelsQueuedSessions) {
   }
 
   server.RequestShutdown();
-  // Unblock the in-flight batch so shutdown completes promptly.
+  // Unblock the in-flight job so shutdown completes promptly.
   ASSERT_TRUE(server.sessions().Cancel("runner").ok());
   server.Wait();
 
@@ -649,6 +652,49 @@ TEST(TuningServerTest, ShutdownCancelsQueuedSessions) {
     EXPECT_EQ(session->phase(), SessionPhase::kCancelled) << name;
     EXPECT_EQ(session->FrameCount(), 0u) << name << " ran a round";
   }
+}
+
+TEST(TuningServerTest, ShortSessionFinishesWhileLongOneRunsOnTheSameShard) {
+  // Dispatch has no batch barrier: with two in-flight slots on one shard,
+  // a session admitted after a long one started takes the free slot and
+  // finishes while the long one is still running.
+  ServerOptions options;
+  options.max_concurrent_sessions = 2;
+  options.admission.num_shards = 1;
+  TuningServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  auto connection = ClientConnection::Connect(server.port());
+  ASSERT_TRUE(connection.ok());
+
+  // A budget that buys rows every round makes each of the 500 rounds
+  // refit (seconds in total), so "long" outlives "short" by a wide margin.
+  JobSpec long_job = SmallJob("long", 500);
+  long_job.budget = 10000.0;
+  auto submitted = connection->Call(SubmitRequest(long_job));
+  ASSERT_TRUE(submitted.ok());
+  ASSERT_TRUE(IsOkResponse(*submitted)) << submitted->Dump();
+  TuningSession* long_session = server.sessions().Find("long");
+  ASSERT_NE(long_session, nullptr);
+  for (int i = 0;
+       i < 60000 && long_session->phase() != SessionPhase::kRunning; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(long_session->phase(), SessionPhase::kRunning);
+
+  submitted = connection->Call(SubmitRequest(SmallJob("short", 1)));
+  ASSERT_TRUE(submitted.ok());
+  ASSERT_TRUE(IsOkResponse(*submitted)) << submitted->Dump();
+  TuningSession* short_session = server.sessions().Find("short");
+  ASSERT_NE(short_session, nullptr);
+  ASSERT_TRUE(short_session->WaitTerminal(/*timeout_ms=*/60000));
+  EXPECT_EQ(short_session->phase(), SessionPhase::kDone);
+  EXPECT_EQ(long_session->phase(), SessionPhase::kRunning);
+
+  ASSERT_TRUE(server.sessions().Cancel("long").ok());
+  ASSERT_TRUE(long_session->WaitTerminal(/*timeout_ms=*/60000));
+  EXPECT_EQ(long_session->phase(), SessionPhase::kCancelled);
+  server.RequestShutdown();
+  server.Wait();
 }
 
 // ---------------------------------------------------------------------------
@@ -808,8 +854,8 @@ TEST(EventLoopTest, EdgeTriggeredReadEventsAndCrossThreadWake) {
 
 TEST(TuningServerTest, ShedResumedSessionResolvesOnCancelThread) {
   ServerOptions options;
+  options.max_concurrent_sessions = 1;
   options.admission.max_queue_depth = 1;
-  options.admission.max_batch = 1;
   options.admission.retry_after_ms = 30;
   TuningServer server(options);
   ASSERT_TRUE(server.Start().ok());
@@ -825,7 +871,7 @@ TEST(TuningServerTest, ShedResumedSessionResolvesOnCancelThread) {
   ASSERT_TRUE(r->WaitTerminal(/*timeout_ms=*/60000));
   ASSERT_EQ(r->phase(), SessionPhase::kDone);
 
-  // Occupy the single dispatcher, then the depth-1 queue.
+  // Occupy the shard's single slot, then the depth-1 queue.
   auto blocker = connection->Call(SubmitRequest(SmallJob("blocker", 500)));
   ASSERT_TRUE(blocker.ok());
   ASSERT_TRUE(IsOkResponse(*blocker)) << blocker->Dump();
@@ -979,7 +1025,6 @@ TEST(TuningServerTest, ManyConnectionsInterleaveSubmitStreamCancel) {
   options.num_workers = 4;
   options.admission.num_shards = 4;
   options.admission.max_queue_depth = 512;
-  options.admission.max_batch = 8;
   options.admission.retry_after_ms = 5;
   options.max_connections = 300;
   TuningServer server(options);

@@ -3,11 +3,12 @@
 // graceful shutdown writes a serve_stats.json summary into the results
 // directory (SLICETUNER_RESULTS_DIR honored, like every bench).
 //
-// Usage:
+// Usage (--threads caps the sessions in flight per dispatch shard; 0 = one
+// per pool worker):
 //   slicetuner_serve [--port=0] [--threads=N] [--max-queue=16]
-//                    [--max-batch=8] [--retry-after-ms=50]
-//                    [--max-backlog=0] [--workers=0] [--max-connections=64]
-//                    [--state-dir=DIR] [--metrics-dump=PATH]
+//                    [--retry-after-ms=50] [--max-backlog=0] [--workers=0]
+//                    [--max-connections=64] [--state-dir=DIR]
+//                    [--metrics-dump=PATH]
 //                    [--snapshot-every-jobs=0] [--snapshot-every-bytes=0]
 //                    [--maintenance-interval-ms=250] [--retain-snapshots=2]
 //                    [--journal-warn-bytes=67108864]
@@ -128,8 +129,6 @@ int main(int argc, char** argv) {
       bench::ParseThreadsFlag(argc, argv, /*default=*/0);
   options.admission.max_queue_depth = static_cast<size_t>(
       bench::ParseIntFlag(argc, argv, "--max-queue=", 16));
-  options.admission.max_batch = static_cast<size_t>(
-      bench::ParseIntFlag(argc, argv, "--max-batch=", 8));
   options.admission.retry_after_ms =
       bench::ParseIntFlag(argc, argv, "--retry-after-ms=", 50);
   options.admission.max_executor_backlog = static_cast<size_t>(
@@ -176,8 +175,8 @@ int main(int argc, char** argv) {
   serve::TuningServer server(options);
   ST_CHECK_OK(server.Start());
   std::printf("slicetuner_serve listening on 127.0.0.1:%d\n", server.port());
-  std::printf("queue depth %zu, batch %zu, retry-after %d ms\n",
-              options.admission.max_queue_depth, options.admission.max_batch,
+  std::printf("queue depth %zu, retry-after %d ms\n",
+              options.admission.max_queue_depth,
               options.admission.retry_after_ms);
   if (!options.state_dir.empty()) {
     const serve::RestoreReport& report = server.restore_report();
