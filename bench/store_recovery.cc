@@ -188,7 +188,11 @@ int main(int argc, char** argv) {
     serve::TuningSession* session =
         MustRun(&manager, ColdJob(rows));
     cold_trainings = session->last_job_trainings();
-    ST_CHECK_OK((*store)->WriteSnapshot(manager.DurableSnapshot()));
+    ST_CHECK_OK((*store)
+                    ->CheckpointOnline(
+                        [&manager] { return manager.DurableSnapshot(); },
+                        /*retain_snapshots=*/0)
+                    .status());
   }
 
   // Cold refit: a stateless daemon re-runs the job from scratch on every

@@ -129,32 +129,10 @@ Result<SliceMetrics> SliceTuner::Evaluate(uint64_t seed) const {
                           options_.model_spec, options_.trainer, seed);
 }
 
-json::Value SliceTuner::SerializeResting() const {
-  json::Value out = json::Value::Object();
-  out.Set("rows", train_.size());
-  // Content hash of the full training data: not consumed by restore (the
-  // per-slice hashes inside the curve cache are), but the cheapest way for
-  // tests and operators to check a replay reproduced the rows bit-exactly.
-  out.Set("data_hash",
-          StrFormat("%016llx", static_cast<unsigned long long>(
-                                   engine::HashDatasetContent(train_))));
-  out.Set("num_slices", num_slices_);
-  json::Value sizes = json::Value::Array();
-  for (const size_t size : SliceSizes()) sizes.Append(size);
-  out.Set("slice_sizes", std::move(sizes));
-  out.Set("curve_cache", curve_engine_->SerializeState());
-  return out;
-}
-
-Result<size_t> SliceTuner::RestoreCurveCache(const json::Value& resting) {
-  const json::Value* cache = resting.Find("curve_cache");
-  if (cache == nullptr) {
-    return Status::InvalidArgument(
-        "RestoreCurveCache: no curve_cache in resting state");
-  }
+Result<size_t> SliceTuner::RestoreCurveCache(const json::Value& cache) {
   const std::vector<uint64_t> hashes =
       engine::HashAllSliceContents(train_, num_slices_);
-  return curve_engine_->RestoreState(*cache, hashes);
+  return curve_engine_->RestoreState(cache, hashes);
 }
 
 }  // namespace slicetuner

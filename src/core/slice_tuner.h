@@ -89,19 +89,12 @@ class SliceTuner {
     return *curve_engine_;
   }
 
-  /// Serializes the tuner's resting state for a durable snapshot
-  /// (docs/STATE.md): a row/slice summary plus the curve engine's
-  /// fitted-curve cache. The training rows themselves are NOT serialized —
-  /// serving sessions reconstruct them deterministically and then validate
-  /// the cache against them via RestoreCurveCache.
-  json::Value SerializeResting() const;
-
-  /// Installs a SerializeResting() curve cache onto this tuner. Entries are
-  /// validated against content hashes of the *current* training data; any
-  /// entry whose slice content differs is dropped (that slice re-fits cold
-  /// on the next EstimateCurves). Returns the number of slices restored
-  /// warm.
-  Result<size_t> RestoreCurveCache(const json::Value& resting);
+  /// Installs a curve cache (CurveEstimationEngine::SerializeState shape)
+  /// onto this tuner. Entries are validated against content hashes of the
+  /// *current* training data; any entry whose slice content differs is
+  /// dropped (that slice re-fits cold on the next EstimateCurves). Returns
+  /// the number of slices restored warm.
+  Result<size_t> RestoreCurveCache(const json::Value& cache);
 
  private:
   SliceTuner(Dataset train, Dataset validation, int num_slices,

@@ -92,8 +92,8 @@ long long UncachedTrainings(int num_slices,
   return options.exhaustive ? k * num_slices : k;
 }
 
-// uint64 values (hashes, fingerprints) cross the JSON boundary as 16-digit
-// hex strings: readable in snapshot files and immune to int64 sign games.
+}  // namespace
+
 std::string HexU64(uint64_t value) {
   return StrFormat("%016llx", static_cast<unsigned long long>(value));
 }
@@ -118,8 +118,6 @@ Result<uint64_t> ParseHexU64(const std::string& text) {
   }
   return value;
 }
-
-}  // namespace
 
 uint64_t HashSliceContent(const Dataset& data, int slice) {
   uint64_t h = kFnvOffset;

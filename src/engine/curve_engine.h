@@ -41,6 +41,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/json.h"
@@ -62,6 +63,11 @@ std::vector<uint64_t> HashAllSliceContents(const Dataset& data,
 
 /// Content hash of an entire dataset (rows, labels, slice ids).
 uint64_t HashDatasetContent(const Dataset& data);
+
+/// uint64 values (hashes, fingerprints) cross the JSON boundary as 16-digit
+/// hex strings: readable in snapshot files and immune to int64 sign games.
+std::string HexU64(uint64_t value);
+Result<uint64_t> ParseHexU64(const std::string& text);
 
 struct CurveEngineOptions {
   /// Overrides LearningCurveOptions::num_threads when non-zero.

@@ -78,7 +78,6 @@ Status DaemonProcess::Start() {
     return port.status();
   }
   port_.store(*port, std::memory_order_release);
-  generation_.fetch_add(1, std::memory_order_acq_rel);
   ++restarts_;
   return Status::OK();
 }

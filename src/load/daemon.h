@@ -5,7 +5,7 @@
 // SIGKILL + respawn it mid-run against the same --state-dir — the
 // kill-and-restart chaos mode the warm-restart guarantee is exercised
 // under. Thread-safe: the chaos thread restarts the daemon while driver
-// threads read port()/generation().
+// threads read port().
 
 #ifndef SLICETUNER_LOAD_DAEMON_H_
 #define SLICETUNER_LOAD_DAEMON_H_
@@ -42,7 +42,7 @@ class DaemonProcess {
   DaemonProcess& operator=(const DaemonProcess&) = delete;
 
   /// Spawns the daemon and waits for its listening banner. Callable again
-  /// after Kill()/Shutdown() — that is a restart (generation increments).
+  /// after Kill()/Shutdown() — that is a restart.
   Status Start();
 
   /// SIGKILL + reap. No-op when not running.
@@ -57,11 +57,6 @@ class DaemonProcess {
 
   /// Port from the most recent listening banner (0 before first Start).
   int port() const { return port_.load(std::memory_order_acquire); }
-  /// Incremented on every successful Start; drivers use it to notice a
-  /// restart happened between their reconnect attempts.
-  uint64_t generation() const {
-    return generation_.load(std::memory_order_acquire);
-  }
   pid_t pid() const { return pid_; }
   int restarts() const { return restarts_; }
 
@@ -74,7 +69,6 @@ class DaemonProcess {
   std::mutex mu_;  // serializes Start/Kill/Reap
   pid_t pid_ = -1;
   std::atomic<int> port_{0};
-  std::atomic<uint64_t> generation_{0};
   size_t offset_ = 0;  // log-file tail position across restarts
   int restarts_ = -1;  // first Start() brings it to 0
 };

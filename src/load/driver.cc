@@ -91,13 +91,6 @@ struct LoadDriver::SessionState {
   // carries the id the echo check expects; cleared when the op advances.
   uint64_t op_trace_id = 0;
 
-  // Daemon generation at the first acked op. A later ack in a different
-  // generation means the warm curve cache was lost mid-session, so
-  // post-restart refits take the cold bootstrap path and the closing
-  // curves are no longer oracle-reproducible ("restart-span" taint).
-  uint64_t ack_generation = 0;
-  bool have_ack_generation = false;
-
   SessionOutcome outcome;
 
   void Taint(const std::string& reason) {
@@ -270,18 +263,6 @@ void LoadDriver::ThreadMain(int thread_index,
   for (auto& c : conn.stalled) c.Close();
 }
 
-void LoadDriver::NoteAckGeneration(SessionState* s) {
-  if (!options_.generation) return;
-  const uint64_t gen = options_.generation();
-  if (!s->have_ack_generation) {
-    s->have_ack_generation = true;
-    s->ack_generation = gen;
-  } else if (gen != s->ack_generation) {
-    s->Taint("restart-span");
-    s->ack_generation = gen;
-  }
-}
-
 void LoadDriver::StepSession(SessionState* s, ThreadConn* conn,
                              uint64_t now_ms) {
   switch (s->stage) {
@@ -322,7 +303,6 @@ void LoadDriver::HandleSubmit(SessionState* s, ThreadConn* conn,
   if (serve::IsOkResponse(response)) {
     LoadMetrics::Get().submits->Add();
     s->outcome.acked_ever = true;
-    NoteAckGeneration(s);
     s->submit_ack_ns = obs::MonotonicNanos();
     s->expected_jobs += 1;
     const SessionPlan& plan = *s->plan;
@@ -354,7 +334,6 @@ void LoadDriver::HandleSubmit(SessionState* s, ThreadConn* conn,
     // session); retry shortly.
     if (code == "AlreadyExists") {
       s->outcome.acked_ever = true;
-      NoteAckGeneration(s);
       s->expected_jobs += 1;
       s->stage = SessionState::Stage::kAwaitTerminal;
       s->next_poll_ms =
@@ -407,7 +386,6 @@ void LoadDriver::HandleProbe(SessionState* s, ThreadConn* conn,
   if (state == "queued" || state == "running") {
     // The lost submit was admitted after all; adopt it.
     s->outcome.acked_ever = true;
-    NoteAckGeneration(s);
     s->expected_jobs += 1;
     s->stage = SessionState::Stage::kAwaitTerminal;
     s->next_poll_ms =
@@ -420,7 +398,6 @@ void LoadDriver::HandleProbe(SessionState* s, ThreadConn* conn,
     // Terminal with the op's job completed (or interrupted mid-flight):
     // treat like a normal terminal poll.
     s->outcome.acked_ever = true;
-    NoteAckGeneration(s);
     s->expected_jobs += 1;
     ReachTerminal(s, response, state, now_ms);
     return;

@@ -43,13 +43,6 @@ struct DriverOptions {
   /// Returns the daemon's current port. Called on every (re)connect, so a
   /// daemon that restarts on a new ephemeral port is picked up.
   std::function<int()> port;
-  /// Optional: the daemon's restart generation. When a session's later job
-  /// is acked in a different generation than its first, the warm curve
-  /// cache did not survive in between, so refits take the cold
-  /// (bootstrap-randomized full-fit) path and the closing curves are no
-  /// longer reproducible by the single-process oracle — the session is
-  /// tainted ("restart-span"). Absent = single-generation daemon.
-  std::function<uint64_t()> generation;
   /// Driver threads; each owns sessions round-robin and one connection.
   int threads = 4;
   /// Cadence of terminal-state polling per in-flight session.
@@ -69,8 +62,7 @@ struct SessionOutcome {
   /// done | cancelled | failed | unfinished.
   std::string final_state = "unfinished";
   bool tainted = false;
-  /// "cancel" | "interrupted" | "restart-span" | "driver" (empty when
-  /// clean).
+  /// "cancel" | "interrupted" | "driver" (empty when clean).
   std::string taint_reason;
   /// The daemon acknowledged at least one op for this session.
   bool acked_ever = false;
@@ -149,7 +141,6 @@ class LoadDriver {
   void HandleAwait(SessionState* s, ThreadConn* conn, uint64_t now_ms);
   void ReachTerminal(SessionState* s, const json::Value& snapshot,
                      const std::string& state, uint64_t now_ms);
-  void NoteAckGeneration(SessionState* s);
   void AdvanceOp(SessionState* s, uint64_t now_ms);
   void OpenStalledStream(SessionState* s, ThreadConn* conn);
 

@@ -74,6 +74,7 @@ json::Value OracleReport::ToJson() const {
   out.Set("checked", checked);
   out.Set("skipped", skipped);
   out.Set("mismatched", mismatched);
+  out.Set("covers_clean", covers_clean);
   json::Value details = json::Value::Array();
   for (const auto& m : mismatches) details.Append(m);
   out.Set("mismatches", std::move(details));
@@ -96,6 +97,10 @@ OracleReport VerifyAgainstOracle(const Workload& workload,
     if (it == plans.end() || outcome.tainted ||
         outcome.final_state != "done") {
       ++oracle.skipped;
+      if (!outcome.tainted || (outcome.taint_reason != "cancel" &&
+                               outcome.taint_reason != "interrupted")) {
+        oracle.covers_clean = false;
+      }
       continue;
     }
     eligible.push_back({it->second, &outcome});

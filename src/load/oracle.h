@@ -34,6 +34,10 @@ struct OracleReport {
   /// Sessions excluded (tainted, unfinished, cancelled, or failed).
   size_t skipped = 0;
   size_t mismatched = 0;
+  /// Every skipped session was tainted by a cancel or a restart
+  /// interruption — the only fates whose admitted job sequence depends on
+  /// timing — so every other session was checked.
+  bool covers_clean = true;
   /// One line per mismatching session (first differing field).
   std::vector<std::string> mismatches;
 

@@ -80,14 +80,14 @@ Status TuningServer::OpenStateDir() {
   ST_ASSIGN_OR_RETURN(store_, store::DurableStore::Open(options_.state_dir));
   // Recovery order matters: materialize sessions from the recovered
   // snapshot + journal tail first, then attach the store (so replay itself
-  // journals nothing), then compact — the fresh snapshot covers everything
-  // restored and the old journal chain is dropped.
+  // journals nothing), then checkpoint — the fresh snapshot covers
+  // everything restored and the recovered journal chain is retired.
   ST_ASSIGN_OR_RETURN(
       restore_report_,
       sessions_.RestoreFromState(store_->recovered(), store_.get(),
                                  /*skip_existing=*/false));
   sessions_.AttachStore(store_.get());
-  ST_RETURN_NOT_OK(store_->Compact(sessions_.DurableSnapshot()));
+  ST_RETURN_NOT_OK(Checkpoint().status());
   store_->SetTailWarnBytes(
       options_.journal_tail_warn_bytes > 0
           ? static_cast<size_t>(options_.journal_tail_warn_bytes)
@@ -105,11 +105,18 @@ Status TuningServer::OpenStateDir() {
   return Status::OK();
 }
 
+Result<store::CheckpointReport> TuningServer::Checkpoint() {
+  return store_->CheckpointOnline(
+      [this] { return sessions_.DurableSnapshot(); },
+      options_.maintenance.retain_snapshots);
+}
+
 void TuningServer::WriteFinalSnapshot() {
   if (store_ == nullptr || final_snapshot_written_.exchange(true)) return;
-  const Status written = store_->WriteSnapshot(sessions_.DurableSnapshot());
+  const Result<store::CheckpointReport> written = Checkpoint();
   if (!written.ok()) {
-    ST_LOG(Warning) << "shutdown snapshot failed: " << written.ToString();
+    ST_LOG(Warning) << "shutdown snapshot failed: "
+                    << written.status().ToString();
   }
 }
 
@@ -703,9 +710,8 @@ json::Value TuningServer::HandleRequest(Connection* conn,
         return ErrorResponse(Status::FailedPrecondition(
             "server started without --state-dir; nothing to snapshot"));
       }
-      const Status written =
-          store_->WriteSnapshot(sessions_.DurableSnapshot());
-      if (!written.ok()) return ErrorResponse(written);
+      const Result<store::CheckpointReport> written = Checkpoint();
+      if (!written.ok()) return ErrorResponse(written.status());
       json::Value response = OkResponse();
       response.Set("snapshot", true);
       response.Set("sessions", sessions_.session_count());

@@ -140,6 +140,8 @@ class TuningServer {
   void WakeWorkers();
 
   Status OpenStateDir();
+  /// Snapshots every session through the store's one checkpoint path.
+  Result<store::CheckpointReport> Checkpoint();
   void WriteFinalSnapshot();
 
   // All of the below run on `worker`'s own thread.

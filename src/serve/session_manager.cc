@@ -1,6 +1,7 @@
 #include "serve/session_manager.h"
 
 #include <algorithm>
+#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -9,6 +10,9 @@
 #include "common/trace_context.h"
 #include "core/baselines.h"
 #include "core/one_shot.h"
+#include "curvefit/fitter.h"
+#include "curvefit/power_law.h"
+#include "engine/curve_engine.h"
 #include "obs/recorder.h"
 #include "obs/span.h"
 #include "serve/serve_metrics.h"
@@ -59,6 +63,173 @@ Result<BaselineKind> BaselineFromMethod(const std::string& method) {
   return Status::InvalidArgument("not a baseline method: '" + method + "'");
 }
 
+json::Value Event(const char* kind) {
+  json::Value event = json::Value::Object();
+  event.Set("event", kind);
+  return event;
+}
+
+json::Value DoublesToJson(const std::vector<double>& values) {
+  json::Value out = json::Value::Array();
+  for (const double v : values) out.Append(v);
+  return out;
+}
+
+std::vector<double> DoublesFromJson(const json::Value* values) {
+  std::vector<double> out;
+  for (const json::Value& v : values->items()) out.push_back(v.number_value());
+  return out;
+}
+
+json::Value CurveJson(const CachedCurve& curve) {
+  json::Value entry = json::Value::Object();
+  entry.Set("slice", curve.slice);
+  entry.Set("hash", engine::HexU64(curve.hash));
+  entry.Set("curve", PowerLawCurveToJson(curve.estimate.curve));
+  entry.Set("points", CurvePointsToJson(curve.estimate.points));
+  entry.Set("reliable", curve.estimate.reliable);
+  return entry;
+}
+
+// The curve cache as the engine serializes it (SerializeState shape):
+// `next`'s fingerprint plus every entry of `next` that `prev` does not hold
+// identically — all of them without `prev`.
+json::Value CacheJson(const SessionState& next, const SessionState* prev) {
+  json::Value out = json::Value::Object();
+  if (next.cache_fingerprint) {
+    out.Set("fingerprint", engine::HexU64(*next.cache_fingerprint));
+  }
+  json::Value entries = json::Value::Array();
+  for (const auto& [slice, curve] : next.cache) {
+    json::Value entry = CurveJson(curve);
+    if (prev != nullptr) {
+      const auto old = prev->cache.find(slice);
+      if (old != prev->cache.end() && CurveJson(old->second) == entry) {
+        continue;
+      }
+    }
+    entries.Append(std::move(entry));
+  }
+  out.Set("entries", std::move(entries));
+  return out;
+}
+
+// Upserts a CacheJson()-shaped document into `state`: a finish event's
+// delta, a snapshot entry's full cache, or the engine's own SerializeState.
+Status MergeCache(const json::Value& cache, SessionState* state) {
+  if (const json::Value* fingerprint = cache.Find("fingerprint")) {
+    ST_ASSIGN_OR_RETURN(state->cache_fingerprint,
+                        engine::ParseHexU64(fingerprint->string_value()));
+  }
+  const json::Value* entries = cache.Find("entries");
+  if (entries == nullptr || !entries->is_array()) {
+    return Status::InvalidArgument("curve cache has no entries array");
+  }
+  for (const json::Value& entry : entries->items()) {
+    CachedCurve curve;
+    curve.slice = static_cast<int>(entry.GetInt("slice", -1));
+    if (curve.slice < 0 || curve.slice >= state->job.num_slices ||
+        !entry.Has("curve") || !entry.Has("points")) {
+      return Status::InvalidArgument("malformed curve cache entry: " +
+                                     entry.Dump());
+    }
+    ST_ASSIGN_OR_RETURN(curve.hash,
+                        engine::ParseHexU64(entry.GetString("hash")));
+    ST_ASSIGN_OR_RETURN(curve.estimate.curve,
+                        PowerLawCurveFromJson(*entry.Find("curve")));
+    ST_ASSIGN_OR_RETURN(curve.estimate.points,
+                        CurvePointsFromJson(*entry.Find("points")));
+    curve.estimate.reliable = entry.GetBool("reliable", true);
+    state->cache[curve.slice] = std::move(curve);
+  }
+  return Status::OK();
+}
+
+// The members a finish event and a snapshot entry share: how the last job
+// closed, the counters (absolutes, so a finish record is idempotent), the
+// closing curves and the curve cache (CacheJson(next, prev)).
+json::Value ClosingJson(const SessionState& next, const SessionState* prev) {
+  json::Value out = json::Value::Object();
+  out.Set("phase", SessionPhaseName(next.phase));
+  if (!next.error.empty()) out.Set("error", next.error);
+  // The trace id is durable: a restart must not make the closing poll
+  // forget which submit ran the last job (the load harness asserts the
+  // echo across kills).
+  if (next.trace_id != 0) {
+    out.Set("trace_id", trace::FormatTraceId(next.trace_id));
+  }
+  out.Set("jobs_run", next.jobs_run);
+  out.Set("rounds_completed", next.rounds_completed);
+  out.Set("total_trainings", next.total_trainings);
+  out.Set("last_job_trainings", next.last_job_trainings);
+  out.Set("last_job_wall_seconds", next.last_job_wall_seconds);
+  out.Set("next_round", next.next_round);
+  if (!next.curve_b.empty()) {
+    out.Set("curve_b", DoublesToJson(next.curve_b));
+    out.Set("curve_a", DoublesToJson(next.curve_a));
+  }
+  if (next.cache_fingerprint) out.Set("cache", CacheJson(next, prev));
+  return out;
+}
+
+json::Value FinishEvent(const SessionState& next, const SessionState& prev) {
+  json::Value event = ClosingJson(next, &prev);
+  event.Set("event", "finish");
+  return event;
+}
+
+Status ApplyClosing(const json::Value& closing, SessionState* state) {
+  const std::string phase = closing.GetString("phase");
+  // A snapshot of a queued or running session folds to queued.
+  state->phase = phase == "done"        ? SessionPhase::kDone
+                 : phase == "failed"    ? SessionPhase::kFailed
+                 : phase == "cancelled" ? SessionPhase::kCancelled
+                                        : SessionPhase::kQueued;
+  state->error = closing.GetString("error");
+  state->trace_id = trace::ParseTraceId(closing.GetString("trace_id"));
+  // Snapshots written before the reducer nest the counters.
+  const json::Value* nested = closing.Find("counters");
+  const json::Value& counters = nested != nullptr ? *nested : closing;
+  state->jobs_run = static_cast<int>(counters.GetInt("jobs_run"));
+  state->rounds_completed =
+      static_cast<int>(counters.GetInt("rounds_completed"));
+  state->total_trainings = counters.GetInt("total_trainings");
+  state->last_job_trainings = counters.GetInt("last_job_trainings");
+  state->last_job_wall_seconds = counters.GetDouble("last_job_wall_seconds");
+  state->next_round = static_cast<int>(closing.GetInt("next_round"));
+  if (closing.Has("curve_b") && closing.Has("curve_a")) {
+    state->curve_b = DoublesFromJson(closing.Find("curve_b"));
+    state->curve_a = DoublesFromJson(closing.Find("curve_a"));
+  }
+  // Journals written before the reducer carry no cache: the session then
+  // restores cold, which is correct, only slower.
+  if (const json::Value* cache = closing.Find("cache")) {
+    return MergeCache(*cache, state);
+  }
+  return Status::OK();
+}
+
+// A single round's allocation to one slice is bounded by the job budget
+// (kMaxBudget at unit cost), not by the much smaller append_rows cap — a
+// legitimately journaled big-budget round must replay. Rounds never go
+// back: replay calls BeginRound once per distinct round.
+Status AddAcquire(long long round, long long slice, long long count,
+                  SessionState* state) {
+  const long long last_round =
+      state->acquires.empty() ? -1 : state->acquires.back().round;
+  if (round < last_round || slice < 0 || slice >= state->job.num_slices ||
+      count <= 0 || static_cast<double>(count) > JobSpec::kMaxBudget) {
+    return Status::InvalidArgument(StrFormat(
+        "acquire record [%lld, %lld, %lld] out of range", round, slice,
+        count));
+  }
+  state->acquires.push_back(
+      {static_cast<int>(round), static_cast<int>(slice), count});
+  state->world_built = true;
+  state->next_round = std::max(state->next_round, static_cast<int>(round) + 1);
+  return Status::OK();
+}
+
 }  // namespace
 
 const char* SessionPhaseName(SessionPhase phase) {
@@ -77,28 +248,114 @@ const char* SessionPhaseName(SessionPhase phase) {
   return "?";
 }
 
-TuningSession::TuningSession(uint64_t id, JobSpec job,
-                             store::DurableStore* store)
-    : id_(id),
-      name_(job.session),
-      store_(store),
-      creation_job_(job),
-      pending_job_(std::move(job)) {
-  enqueued_ns_.store(obs::MonotonicNanos(), std::memory_order_relaxed);
-  // No other thread can see the session yet, but LogEventLocked documents
-  // a mu_ requirement, so honor it.
-  std::lock_guard<std::mutex> lock(mu_);
-  json::Value event = json::Value::Object();
-  event.Set("event", "create");
-  event.Set("job", creation_job_.ToJson());
-  LogEventLocked(std::move(event));
+// ---------------------------------------------------------------------------
+// SessionState: the durable state and its one transition function
+// ---------------------------------------------------------------------------
+
+Status Apply(SessionState* state, const json::Value& event) {
+  const std::string kind = event.GetString("event");
+  if (kind == "create" || kind == "world") {
+    const json::Value* job = event.Find("job");
+    if (job == nullptr) {
+      return Status::InvalidArgument(kind + " event without a job");
+    }
+    ST_ASSIGN_OR_RETURN(state->job, JobSpec::FromJson(*job));
+    if (kind == "create") {
+      state->id = static_cast<uint64_t>(event.GetInt("id"));
+      state->phase = SessionPhase::kQueued;
+    } else {
+      state->world_built = true;
+    }
+  } else if (kind == "resume") {
+    state->phase = SessionPhase::kQueued;
+    state->error.clear();
+  } else if (kind == "acquire") {
+    ST_RETURN_NOT_OK(AddAcquire(event.GetInt("round"), event.GetInt("slice"),
+                                event.GetInt("n"), state));
+  } else if (kind == "finish") {
+    ST_RETURN_NOT_OK(ApplyClosing(event, state));
+  } else if (kind == "drop") {
+    state->dropped = true;
+  } else {
+    return Status::InvalidArgument("unknown session event '" + kind + "'");
+  }
+  state->seq = static_cast<uint64_t>(event.GetInt("seq")) + 1;
+  return Status::OK();
 }
 
-void TuningSession::LogEventLocked(json::Value event) {
-  if (store_ == nullptr) return;
+json::Value SessionState::ToJson() const {
+  json::Value out = ClosingJson(*this, nullptr);
+  out.Set("name", name);
+  out.Set("id", static_cast<long long>(id));
+  out.Set("seq", static_cast<long long>(seq));
+  out.Set("job", job.ToJson());
+  out.Set("world_built", world_built);
+  json::Value items = json::Value::Array();
+  for (const AcquireRecord& record : acquires) {
+    json::Value item = json::Value::Array();
+    item.Append(record.round);
+    item.Append(record.slice);
+    item.Append(record.count);
+    items.Append(std::move(item));
+  }
+  out.Set("acquires", std::move(items));
+  return out;
+}
+
+Result<SessionState> SessionState::FromJson(const json::Value& entry) {
+  SessionState state;
+  state.name = entry.GetString("name");
+  state.id = static_cast<uint64_t>(entry.GetInt("id"));
+  state.seq = static_cast<uint64_t>(entry.GetInt("seq"));
+  const json::Value* job = entry.Find("job");
+  if (job == nullptr) {
+    return Status::InvalidArgument("session state for '" + state.name +
+                                   "' has no job");
+  }
+  ST_ASSIGN_OR_RETURN(state.job, JobSpec::FromJson(*job));
+  state.world_built = entry.GetBool("world_built", false);
+  ST_RETURN_NOT_OK(ApplyClosing(entry, &state));
+  if (const json::Value* acquires = entry.Find("acquires")) {
+    if (!acquires->is_array()) {
+      return Status::InvalidArgument("session acquires must be an array");
+    }
+    for (const json::Value& item : acquires->items()) {
+      if (!item.is_array() || item.size() != 3) {
+        return Status::InvalidArgument(
+            "acquire record must be [round, slice, n]");
+      }
+      ST_RETURN_NOT_OK(AddAcquire(item.at(0).int_value(),
+                                  item.at(1).int_value(),
+                                  item.at(2).int_value(), &state));
+    }
+  }
+  return state;
+}
+
+// ---------------------------------------------------------------------------
+// TuningSession
+// ---------------------------------------------------------------------------
+
+TuningSession::TuningSession(uint64_t id, JobSpec job,
+                             store::DurableStore* store)
+    : id_(id), name_(job.session), store_(store), pending_job_(job) {
+  enqueued_ns_.store(obs::MonotonicNanos(), std::memory_order_relaxed);
+  // No other thread can see the session yet, but CommitLocked documents a
+  // mu_ requirement, so honor it.
+  std::lock_guard<std::mutex> lock(mu_);
+  state_.name = name_;
+  json::Value event = Event("create");
+  event.Set("job", job.ToJson());
+  CommitLocked(std::move(event));
+}
+
+void TuningSession::CommitLocked(json::Value event) {
   event.Set("session", name_);
   event.Set("id", static_cast<long long>(id_));
-  event.Set("seq", static_cast<long long>(events_logged_++));
+  event.Set("seq", static_cast<long long>(state_.seq));
+  // Live events are well-formed by construction; failing here is a bug.
+  ST_CHECK_OK(Apply(&state_, event));
+  if (store_ == nullptr) return;
   const Status appended = store_->Append(event);
   if (!appended.ok()) {
     // Serving keeps going on a sick disk; durability degrades, correctness
@@ -110,34 +367,33 @@ void TuningSession::LogEventLocked(json::Value event) {
 
 void TuningSession::LogDropped() {
   std::lock_guard<std::mutex> lock(mu_);
-  json::Value event = json::Value::Object();
-  event.Set("event", "drop");
-  LogEventLocked(std::move(event));
+  CommitLocked(Event("drop"));
 }
 
 void TuningSession::RequestCancel() {
   cancel_requested_.store(true, std::memory_order_relaxed);
 }
 
+SessionPhase TuningSession::PhaseLocked() const {
+  return job_.running ? SessionPhase::kRunning : state_.phase;
+}
+
 SessionPhase TuningSession::phase() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return phase_;
+  return PhaseLocked();
 }
 
 bool TuningSession::Terminal() const {
   const SessionPhase p = phase();
-  return p == SessionPhase::kDone || p == SessionPhase::kCancelled ||
-         p == SessionPhase::kFailed;
+  return p != SessionPhase::kQueued && p != SessionPhase::kRunning;
 }
 
 bool TuningSession::WaitTerminal(int timeout_ms) const {
   std::unique_lock<std::mutex> lock(mu_);
-  return phase_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                            [this] {
-                              return phase_ == SessionPhase::kDone ||
-                                     phase_ == SessionPhase::kCancelled ||
-                                     phase_ == SessionPhase::kFailed;
-                            });
+  return phase_cv_.wait_for(
+      lock, std::chrono::milliseconds(timeout_ms), [this] {
+        return !job_.running && state_.phase != SessionPhase::kQueued;
+      });
 }
 
 size_t TuningSession::FrameCount() const {
@@ -158,12 +414,12 @@ Status TuningSession::last_status() const {
 
 long long TuningSession::last_job_trainings() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return last_job_trainings_;
+  return state_.last_job_trainings;
 }
 
 double TuningSession::last_job_wall_seconds() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return last_job_wall_seconds_;
+  return state_.last_job_wall_seconds;
 }
 
 json::Value TuningSession::TraceTree() const {
@@ -175,27 +431,23 @@ json::Value TuningSession::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   json::Value out = json::Value::Object();
   out.Set("session", name_);
-  out.Set("state", SessionPhaseName(phase_));
+  out.Set("state", SessionPhaseName(PhaseLocked()));
   const uint64_t trace_id = trace_id_.load(std::memory_order_relaxed);
   if (trace_id != 0) {
     out.Set("trace_id", trace::FormatTraceId(trace_id));
   }
-  out.Set("jobs_run", jobs_run_);
-  out.Set("rounds_completed", rounds_completed_);
+  out.Set("jobs_run", state_.jobs_run);
+  out.Set("rounds_completed", state_.rounds_completed + job_.rounds);
   out.Set("frames", frames_.size());
   out.Set("rows", rows_);
-  out.Set("model_trainings", total_trainings_);
-  out.Set("last_job_trainings", last_job_trainings_);
-  out.Set("last_job_wall_seconds", last_job_wall_seconds_);
+  out.Set("model_trainings", state_.total_trainings + job_.trainings);
+  out.Set("last_job_trainings", state_.last_job_trainings);
+  out.Set("last_job_wall_seconds", state_.last_job_wall_seconds);
   if (!last_status_.ok()) out.Set("error", last_status_.ToString());
-  if (!final_curve_b_.empty()) {
+  if (!state_.curve_b.empty()) {
     json::Value curves = json::Value::Object();
-    json::Value b = json::Value::Array();
-    json::Value a = json::Value::Array();
-    for (const double v : final_curve_b_) b.Append(v);
-    for (const double v : final_curve_a_) a.Append(v);
-    curves.Set("b", std::move(b));
-    curves.Set("a", std::move(a));
+    curves.Set("b", DoublesToJson(state_.curve_b));
+    curves.Set("a", DoublesToJson(state_.curve_a));
     out.Set("curves", std::move(curves));
   }
   if (has_cache_stats_) {
@@ -214,9 +466,10 @@ json::Value TuningSession::Snapshot() const {
 
 Status TuningSession::Resume(JobSpec job) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (phase_ == SessionPhase::kQueued || phase_ == SessionPhase::kRunning) {
+  const SessionPhase phase = PhaseLocked();
+  if (phase == SessionPhase::kQueued || phase == SessionPhase::kRunning) {
     return Status::AlreadyExists("session '" + name_ + "' is busy (" +
-                                 SessionPhaseName(phase_) + ")");
+                                 SessionPhaseName(phase) + ")");
   }
   // An omitted slice count inherits the session's; an explicit one must
   // match (the data world is fixed at creation).
@@ -237,11 +490,10 @@ Status TuningSession::Resume(JobSpec job) {
   pending_job_ = std::move(job);
   cancel_requested_.store(false, std::memory_order_relaxed);
   enqueued_ns_.store(obs::MonotonicNanos(), std::memory_order_relaxed);
-  phase_ = SessionPhase::kQueued;
-  json::Value event = json::Value::Object();
-  event.Set("event", "resume");
+  frames_.clear();
+  json::Value event = Event("resume");
   event.Set("job", pending_job_.ToJson());
-  LogEventLocked(std::move(event));
+  CommitLocked(std::move(event));
   return Status::OK();
 }
 
@@ -249,20 +501,26 @@ Status TuningSession::RunJob(const std::function<void()>& on_resolved) {
   JobSpec job;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (phase_ != SessionPhase::kQueued) {
+    if (PhaseLocked() != SessionPhase::kQueued) {
       return Status::FailedPrecondition(
           "RunJob on session '" + name_ + "' in state " +
-          SessionPhaseName(phase_));
+          SessionPhaseName(PhaseLocked()));
     }
     if (cancel_requested_.load(std::memory_order_relaxed)) {
-      phase_ = SessionPhase::kCancelled;
       last_status_ = Status::Cancelled("cancelled before start");
+      SessionState next = state_;
+      next.phase = SessionPhase::kCancelled;
+      next.error = last_status_.ToString();
+      next.trace_id = trace_id_.load(std::memory_order_relaxed);
+      CommitLocked(FinishEvent(next, state_));
       ServeMetrics::Get().jobs_cancelled->Add();
       if (on_resolved) on_resolved();
       phase_cv_.notify_all();
       return last_status_;
     }
-    phase_ = SessionPhase::kRunning;
+    job_ = Progress();
+    job_.running = true;
+    job_.next_round = state_.next_round;
     job = pending_job_;
     job_round_spans_.clear();
   }
@@ -278,46 +536,59 @@ Status TuningSession::RunJob(const std::function<void()>& on_resolved) {
                                      static_cast<int64_t>(queue_wait_ns));
 
   Stopwatch timer;
-  const long long trainings_before = [this] {
-    std::lock_guard<std::mutex> lock(mu_);
-    return total_trainings_;
-  }();
   const Status status = [&] {
     obs::ScopedTimer run_timer(ServeMetrics::Get().run_ns);
     return ExecuteJob(job);
   }();
   const double wall = timer.ElapsedSeconds();
-  // Snapshot the engine counters while no estimation is running (tuner_ is
-  // only touched from this thread); polls then read the copy without
-  // touching the engine lock.
+  // Read the engine's counters and cache while no estimation is running
+  // (tuner_ is only touched from this thread); polls then read the copy
+  // without touching the engine lock.
   engine::CurveEngineStats cache_stats;
-  const bool has_cache_stats = tuner_ != nullptr;
-  if (has_cache_stats) cache_stats = tuner_->curve_engine().stats();
+  json::Value engine_cache;
+  if (tuner_ != nullptr) {
+    cache_stats = tuner_->curve_engine().stats();
+    engine_cache = tuner_->curve_engine().SerializeState();
+  }
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (has_cache_stats) {
-      cache_stats_ = cache_stats;
-      has_cache_stats_ = true;
-    }
-    ++jobs_run_;
-    last_job_wall_seconds_ = wall;
-    last_job_trainings_ = total_trainings_ - trainings_before;
-    last_status_ = status;
     ServeMetrics& metrics = ServeMetrics::Get();
     metrics.submit_to_done_ns->Record(
         obs::MonotonicNanos() -
         enqueued_ns_.load(std::memory_order_relaxed));
+    last_status_ = status;
+    SessionState next = state_;
     if (status.ok()) {
-      phase_ = SessionPhase::kDone;
+      next.phase = SessionPhase::kDone;
       metrics.jobs_done->Add();
     } else if (status.code() == StatusCode::kCancelled) {
-      phase_ = SessionPhase::kCancelled;
+      next.phase = SessionPhase::kCancelled;
       metrics.jobs_cancelled->Add();
     } else {
-      phase_ = SessionPhase::kFailed;
+      next.phase = SessionPhase::kFailed;
       metrics.jobs_failed->Add();
     }
+    next.error = status.ok() ? std::string() : status.ToString();
+    next.trace_id = trace_id_.load(std::memory_order_relaxed);
+    ++next.jobs_run;
+    next.rounds_completed += job_.rounds;
+    next.total_trainings += job_.trainings;
+    next.last_job_trainings = job_.trainings;
+    next.last_job_wall_seconds = wall;
+    next.next_round = job_.next_round;
+    if (!job_.curve_b.empty()) {
+      next.curve_b = std::move(job_.curve_b);
+      next.curve_a = std::move(job_.curve_a);
+    }
+    if (tuner_ != nullptr) {
+      cache_stats_ = cache_stats;
+      has_cache_stats_ = true;
+      ST_CHECK_OK(MergeCache(engine_cache, &next));
+    }
+    // The finish event carries only the cache entries this job changed.
+    CommitLocked(FinishEvent(next, state_));
+    job_ = Progress();
     // Fold the job's round spans into the span tree the done frame (and
     // poll) hand back: the per-round Spans become children of the job.
     json::Value tree = json::Value::Object();
@@ -333,34 +604,6 @@ Status TuningSession::RunJob(const std::function<void()>& on_resolved) {
     job_round_spans_.clear();
     tree.Set("rounds", std::move(rounds));
     last_trace_tree_ = std::move(tree);
-    json::Value event = json::Value::Object();
-    event.Set("event", "finish");
-    event.Set("phase", SessionPhaseName(phase_));
-    if (!last_status_.ok()) event.Set("error", last_status_.ToString());
-    // The trace id is part of the session's durable state: a restart must
-    // not make the closing poll forget which submit ran the last job (the
-    // load harness asserts the echo on clean sessions across kills).
-    const uint64_t finish_trace_id =
-        trace_id_.load(std::memory_order_relaxed);
-    if (finish_trace_id != 0) {
-      event.Set("trace_id", trace::FormatTraceId(finish_trace_id));
-    }
-    event.Set("jobs_run", jobs_run_);
-    event.Set("rounds_completed", rounds_completed_);
-    event.Set("total_trainings", total_trainings_);
-    event.Set("last_job_trainings", last_job_trainings_);
-    event.Set("last_job_wall_seconds", last_job_wall_seconds_);
-    event.Set("rows", rows_);
-    event.Set("next_round", next_round_index_);
-    if (!final_curve_b_.empty()) {
-      json::Value b = json::Value::Array();
-      json::Value a = json::Value::Array();
-      for (const double v : final_curve_b_) b.Append(v);
-      for (const double v : final_curve_a_) a.Append(v);
-      event.Set("curve_b", std::move(b));
-      event.Set("curve_a", std::move(a));
-    }
-    LogEventLocked(std::move(event));
     if (on_resolved) on_resolved();
     phase_cv_.notify_all();
   }
@@ -410,36 +653,30 @@ Status TuningSession::ExecuteJob(const JobSpec& job) {
     // creation job, unless the session was cancelled before ever running
     // and re-armed with different parameters. Journal the job actually
     // used so recovery replays the right world.
-    creation_job_ = job;
-    json::Value event = json::Value::Object();
-    event.Set("event", "world");
-    event.Set("job", creation_job_.ToJson());
-    LogEventLocked(std::move(event));
+    json::Value event = Event("world");
+    event.Set("job", job.ToJson());
+    CommitLocked(std::move(event));
   } else if (job.append_rows > 0) {
     // Incremental update: new rows for one slice arrive with the
     // resubmission. Only that slice's content hash changes, so the next
     // estimation partially refits instead of running cold.
-    const int round = next_round_index_;
+    const int round = job_.next_round;
     source_->BeginRound(round);
     const Dataset batch = source_->Acquire(
         job.append_slice, static_cast<size_t>(job.append_rows));
+    ST_RETURN_NOT_OK(tuner_->AppendTrainingData(batch));
+    std::lock_guard<std::mutex> lock(mu_);
     // The append consumed this round index's acquisition stream; advance so
     // the job's first round draws fresh examples instead of replaying the
     // exact draws that produced the appended rows (BeginRound re-seeds as a
     // pure function of (seed, round)).
-    ++next_round_index_;
-    ST_RETURN_NOT_OK(tuner_->AppendTrainingData(batch));
-    std::lock_guard<std::mutex> lock(mu_);
+    ++job_.next_round;
     rows_ = static_cast<long long>(tuner_->train().size());
-    if (store_ != nullptr) {
-      acquire_log_.push_back({round, job.append_slice, job.append_rows});
-      json::Value event = json::Value::Object();
-      event.Set("event", "acquire");
-      event.Set("round", round);
-      event.Set("slice", job.append_slice);
-      event.Set("n", job.append_rows);
-      LogEventLocked(std::move(event));
-    }
+    json::Value event = Event("acquire");
+    event.Set("round", round);
+    event.Set("slice", job.append_slice);
+    event.Set("n", job.append_rows);
+    CommitLocked(std::move(event));
   }
   return RunRounds(job);
 }
@@ -456,16 +693,16 @@ Status TuningSession::RunRounds(const JobSpec& job) {
           "session '%s' cancelled after %d of %d rounds", name_.c_str(), r,
           job.rounds));
     }
-    source_->BeginRound(next_round_index_);
+    source_->BeginRound(job_.next_round);
     obs::Recorder::Global().RecordHere(obs::EventKind::kRoundStart,
-                                       next_round_index_);
+                                       job_.next_round);
 
     // One span per round: stage timers attribute the round's wall time to
     // estimate / plan / acquire, feed the process-wide serve_round_stage_ns
     // histograms, and the summary rides the round's progress frame.
     obs::Span round_span("round");
     sim::RoundTrace round;
-    round.round = next_round_index_;
+    round.round = job_.next_round;
     round.budget = round_budget;
 
     std::vector<long long> allocation;
@@ -531,8 +768,8 @@ Status TuningSession::RunRounds(const JobSpec& job) {
     json::Value frame;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      ++rounds_completed_;
-      total_trainings_ += round.model_trainings;
+      ++job_.rounds;
+      job_.trainings += round.model_trainings;
       rows_ = static_cast<long long>(tuner_->train().size());
       frame = ProgressFrame(name_, frames_.size(),
                             sim::RoundTraceToJson(round));
@@ -541,24 +778,19 @@ Status TuningSession::RunRounds(const JobSpec& job) {
       job_round_spans_.push_back(span_json);
       frame.Set("span", std::move(span_json));
       frames_.push_back(frame);
-      if (store_ != nullptr) {
-        // Journal the round's acquisitions in slice order — the order the
-        // batches consumed the round's draw stream, which recovery must
-        // replay exactly.
-        for (size_t s = 0; s < round.acquired.size(); ++s) {
-          if (round.acquired[s] <= 0) continue;
-          acquire_log_.push_back(
-              {round.round, static_cast<int>(s), round.acquired[s]});
-          json::Value event = json::Value::Object();
-          event.Set("event", "acquire");
-          event.Set("round", round.round);
-          event.Set("slice", s);
-          event.Set("n", round.acquired[s]);
-          LogEventLocked(std::move(event));
-        }
+      // Commit the round's acquisitions in slice order — the order the
+      // batches consumed the round's draw stream, which recovery must
+      // replay exactly.
+      for (size_t s = 0; s < round.acquired.size(); ++s) {
+        if (round.acquired[s] <= 0) continue;
+        json::Value event = Event("acquire");
+        event.Set("round", round.round);
+        event.Set("slice", s);
+        event.Set("n", round.acquired[s]);
+        CommitLocked(std::move(event));
       }
+      ++job_.next_round;
     }
-    ++next_round_index_;
   }
 
   // Closing estimate on the final data. Besides giving the client curves
@@ -573,12 +805,10 @@ Status TuningSession::RunRounds(const JobSpec& job) {
       ST_ASSIGN_OR_RETURN(curves, tuner_->EstimateCurves());
     }
     std::lock_guard<std::mutex> lock(mu_);
-    total_trainings_ += curves.model_trainings;
-    final_curve_b_.clear();
-    final_curve_a_.clear();
+    job_.trainings += curves.model_trainings;
     for (const SliceCurveEstimate& slice : curves.slices) {
-      final_curve_b_.push_back(slice.curve.b);
-      final_curve_a_.push_back(slice.curve.a);
+      job_.curve_b.push_back(slice.curve.b);
+      job_.curve_a.push_back(slice.curve.a);
     }
   }
   return Status::OK();
@@ -586,171 +816,70 @@ Status TuningSession::RunRounds(const JobSpec& job) {
 
 json::Value TuningSession::DurableState() const {
   std::lock_guard<std::mutex> lock(mu_);
+  return state_.ToJson();
+}
+
+json::Value TuningSession::RestingState() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  // The tuner may only be walked while no job runs: RunJob marks the job
+  // running under mu_ before touching it.
+  if (job_.running || tuner_ == nullptr) return json::Value();
   json::Value out = json::Value::Object();
-  out.Set("name", name_);
-  out.Set("id", static_cast<long long>(id_));
-  out.Set("seq", static_cast<long long>(events_logged_));
-  out.Set("phase", SessionPhaseName(phase_));
-  const uint64_t trace_id_now = trace_id_.load(std::memory_order_relaxed);
-  if (trace_id_now != 0) {
-    out.Set("trace_id", trace::FormatTraceId(trace_id_now));
-  }
-  if (!last_status_.ok()) out.Set("error", last_status_.ToString());
-  out.Set("job", creation_job_.ToJson());
-  out.Set("world_built", tuner_ != nullptr);
-  out.Set("next_round", next_round_index_);
-  json::Value acquires = json::Value::Array();
-  for (const AcquireRecord& record : acquire_log_) {
-    json::Value item = json::Value::Array();
-    item.Append(record.round);
-    item.Append(record.slice);
-    item.Append(record.count);
-    acquires.Append(std::move(item));
-  }
-  out.Set("acquires", std::move(acquires));
-  json::Value counters = json::Value::Object();
-  counters.Set("jobs_run", jobs_run_);
-  counters.Set("rounds_completed", rounds_completed_);
-  counters.Set("total_trainings", total_trainings_);
-  counters.Set("last_job_trainings", last_job_trainings_);
-  counters.Set("last_job_wall_seconds", last_job_wall_seconds_);
-  counters.Set("rows", rows_);
-  out.Set("counters", std::move(counters));
-  if (!final_curve_b_.empty()) {
-    json::Value b = json::Value::Array();
-    json::Value a = json::Value::Array();
-    for (const double v : final_curve_b_) b.Append(v);
-    for (const double v : final_curve_a_) a.Append(v);
-    out.Set("curve_b", std::move(b));
-    out.Set("curve_a", std::move(a));
-  }
-  // The tuner (and its curve cache) may only be walked while no job runs.
-  // Under mu_ with a non-running phase that is guaranteed: RunJob's first
-  // transition to kRunning takes mu_, so it cannot start while we hold it.
-  if (phase_ != SessionPhase::kRunning && tuner_ != nullptr) {
-    out.Set("resting", tuner_->SerializeResting());
-  }
+  out.Set("data_hash",
+          engine::HexU64(engine::HashDatasetContent(tuner_->train())));
+  out.Set("curve_cache", tuner_->curve_engine().SerializeState());
   return out;
 }
 
 Result<std::unique_ptr<TuningSession>> TuningSession::Restore(
-    const json::Value& state, store::DurableStore* store,
-    size_t* warm_slices) {
+    SessionState state, store::DurableStore* store, size_t* warm_slices) {
   if (warm_slices != nullptr) *warm_slices = 0;
-  if (!state.is_object()) {
-    return Status::InvalidArgument("session state must be an object");
-  }
-  const json::Value* job_json = state.Find("job");
-  if (job_json == nullptr) {
-    return Status::InvalidArgument("session state for '" +
-                                   state.GetString("name") +
-                                   "' has no job");
-  }
-  ST_ASSIGN_OR_RETURN(const JobSpec job, JobSpec::FromJson(*job_json));
-  const uint64_t id = static_cast<uint64_t>(state.GetInt("id", 0));
   // Constructed without the store so nothing is journaled during replay;
   // the store is attached at the end for future events.
   auto session = std::unique_ptr<TuningSession>(
-      new TuningSession(id, job, /*store=*/nullptr));
-
-  int last_replayed_round = -1;
-  if (state.GetBool("world_built", false)) {
-    ST_RETURN_NOT_OK(session->BuildWorld(job));
+      new TuningSession(state.id, state.job, /*store=*/nullptr));
+  if (state.world_built) {
+    ST_RETURN_NOT_OK(session->BuildWorld(state.job));
     // Replay the acquire log in order: each batch is re-derived from the
     // deterministic source, so the training rows come back bit-identical
-    // without a single model training.
-    if (const json::Value* acquires = state.Find("acquires")) {
-      if (!acquires->is_array()) {
-        return Status::InvalidArgument("session acquires must be an array");
+    // without a single model training. BeginRound re-anchors the round's
+    // draw stream, so it runs once per round — repeating it would replay
+    // the round's first draws instead of continuing them.
+    int round = -1;
+    for (const AcquireRecord& record : state.acquires) {
+      if (record.round != round) {
+        round = record.round;
+        session->source_->BeginRound(round);
       }
-      for (const json::Value& item : acquires->items()) {
-        if (!item.is_array() || item.size() != 3) {
-          return Status::InvalidArgument(
-              "acquire record must be [round, slice, n]");
-        }
-        const long long round = item.at(0).int_value();
-        const long long slice = item.at(1).int_value();
-        const long long count = item.at(2).int_value();
-        // A single round's allocation to one slice is bounded by the job
-        // budget (kMaxBudget at unit cost), not by the much smaller
-        // append_rows cap — a legitimately journaled big-budget round
-        // must replay.
-        if (round < last_replayed_round || slice < 0 ||
-            slice >= job.num_slices || count <= 0 ||
-            static_cast<double>(count) > JobSpec::kMaxBudget) {
-          return Status::InvalidArgument(StrFormat(
-              "acquire record [%lld, %lld, %lld] out of range", round,
-              slice, count));
-        }
-        // BeginRound re-anchors the round's draw stream, so it must run
-        // once per round — repeating it would replay the round's first
-        // draws instead of continuing them.
-        if (round != last_replayed_round) {
-          session->source_->BeginRound(static_cast<int>(round));
-          last_replayed_round = static_cast<int>(round);
-        }
-        const Dataset batch = session->source_->Acquire(
-            static_cast<int>(slice), static_cast<size_t>(count));
-        ST_RETURN_NOT_OK(session->tuner_->AppendTrainingData(batch));
-        session->acquire_log_.push_back({static_cast<int>(round),
-                                         static_cast<int>(slice), count});
-      }
+      ST_RETURN_NOT_OK(session->tuner_->AppendTrainingData(
+          session->source_->Acquire(record.slice,
+                                    static_cast<size_t>(record.count))));
     }
     session->rows_ =
         static_cast<long long>(session->tuner_->train().size());
-    // Install the fitted-curve cache. Every entry is validated against the
-    // content hash of the rows just replayed; entries that no longer match
-    // (rows acquired after the snapshot, lost journal tail) silently stay
-    // cold and re-fit on the next estimate.
-    if (const json::Value* resting = state.Find("resting")) {
-      ST_ASSIGN_OR_RETURN(const size_t warm,
-                          session->tuner_->RestoreCurveCache(*resting));
+    // Install the curve cache. Every entry is validated against the content
+    // hash of the rows just replayed; entries that no longer match (rows
+    // acquired after the job that fitted them) stay cold and re-fit on the
+    // next estimate.
+    if (state.cache_fingerprint) {
+      ST_ASSIGN_OR_RETURN(
+          const size_t warm,
+          session->tuner_->RestoreCurveCache(CacheJson(state, nullptr)));
       if (warm_slices != nullptr) *warm_slices = warm;
     }
   }
-
-  if (const json::Value* counters = state.Find("counters")) {
-    session->jobs_run_ = static_cast<int>(counters->GetInt("jobs_run"));
-    session->rounds_completed_ =
-        static_cast<int>(counters->GetInt("rounds_completed"));
-    session->total_trainings_ = counters->GetInt("total_trainings");
-    session->last_job_trainings_ = counters->GetInt("last_job_trainings");
-    session->last_job_wall_seconds_ =
-        counters->GetDouble("last_job_wall_seconds");
+  if (state.phase == SessionPhase::kQueued) {
+    // Queued or running when the state was captured: it comes back
+    // cancelled and resumable.
+    state.phase = SessionPhase::kCancelled;
+    state.error = "interrupted by restart";
   }
-  session->next_round_index_ =
-      std::max(static_cast<int>(state.GetInt("next_round", 0)),
-               last_replayed_round + 1);
-  if (const json::Value* b = state.Find("curve_b")) {
-    for (const json::Value& v : b->items()) {
-      session->final_curve_b_.push_back(v.number_value());
-    }
-  }
-  if (const json::Value* a = state.Find("curve_a")) {
-    for (const json::Value& v : a->items()) {
-      session->final_curve_a_.push_back(v.number_value());
-    }
-  }
-
-  const std::string phase = state.GetString("phase");
-  const std::string error = state.GetString("error");
-  if (phase == "done") {
-    session->phase_ = SessionPhase::kDone;
-  } else if (phase == "failed") {
-    session->phase_ = SessionPhase::kFailed;
-    session->last_status_ =
-        Status::Internal(error.empty() ? "restored failed session" : error);
-  } else {
-    // cancelled — or a session that was queued/running when the state was
-    // captured: it comes back cancelled and resumable.
-    session->phase_ = SessionPhase::kCancelled;
-    session->last_status_ = Status::Cancelled(
-        error.empty() ? "interrupted by restart" : error);
-  }
-  session->events_logged_ = static_cast<uint64_t>(state.GetInt("seq", 0));
-  session->trace_id_.store(
-      trace::ParseTraceId(state.GetString("trace_id")),
-      std::memory_order_relaxed);
+  session->last_status_ =
+      state.phase == SessionPhase::kFailed      ? Status::Internal(state.error)
+      : state.phase == SessionPhase::kCancelled ? Status::Cancelled(state.error)
+                                                : Status::OK();
+  session->trace_id_.store(state.trace_id, std::memory_order_relaxed);
+  session->state_ = std::move(state);
   session->store_ = store;
   return session;
 }
@@ -931,85 +1060,21 @@ json::Value SessionManager::DurableSnapshot() const {
   return out;
 }
 
-namespace {
-
-// Advances one merged session-state document by one journal record. The
-// state documents are DurableState()-shaped; events carry deltas
-// (acquires) or absolutes (finish counters), so applying each tail record
-// on top of the snapshot entry reproduces the pre-crash state.
-void ApplyJournalRecord(json::Value* entry, const json::Value& record) {
-  const std::string event = record.GetString("event");
-  if (event == "create") {
-    entry->Set("id", record.GetInt("id"));
-    if (const json::Value* job = record.Find("job")) {
-      entry->Set("job", *job);
-    }
-    entry->Set("phase", "queued");
-  } else if (event == "world") {
-    if (const json::Value* job = record.Find("job")) {
-      entry->Set("job", *job);
-    }
-    entry->Set("world_built", true);
-  } else if (event == "resume") {
-    entry->Set("phase", "queued");
-  } else if (event == "acquire") {
-    json::Value acquires = json::Value::Array();
-    if (const json::Value* existing = entry->Find("acquires")) {
-      acquires = *existing;
-    }
-    json::Value item = json::Value::Array();
-    item.Append(record.GetInt("round"));
-    item.Append(record.GetInt("slice"));
-    item.Append(record.GetInt("n"));
-    acquires.Append(std::move(item));
-    entry->Set("acquires", std::move(acquires));
-    entry->Set("world_built", true);
-  } else if (event == "finish") {
-    entry->Set("phase", record.GetString("phase"));
-    if (record.Has("error")) {
-      entry->Set("error", record.GetString("error"));
-    }
-    if (record.Has("trace_id")) {
-      entry->Set("trace_id", record.GetString("trace_id"));
-    }
-    json::Value counters = json::Value::Object();
-    counters.Set("jobs_run", record.GetInt("jobs_run"));
-    counters.Set("rounds_completed", record.GetInt("rounds_completed"));
-    counters.Set("total_trainings", record.GetInt("total_trainings"));
-    counters.Set("last_job_trainings", record.GetInt("last_job_trainings"));
-    counters.Set("last_job_wall_seconds",
-                 record.GetDouble("last_job_wall_seconds"));
-    counters.Set("rows", record.GetInt("rows"));
-    entry->Set("counters", std::move(counters));
-    entry->Set("next_round", record.GetInt("next_round"));
-    if (const json::Value* b = record.Find("curve_b")) {
-      entry->Set("curve_b", *b);
-    }
-    if (const json::Value* a = record.Find("curve_a")) {
-      entry->Set("curve_a", *a);
-    }
-    entry->Set("world_built", true);
-  } else if (event == "drop") {
-    entry->Set("dropped", true);
-  }
-}
-
-}  // namespace
-
 Result<RestoreReport> SessionManager::RestoreFromState(
     const store::RecoveredState& state, store::DurableStore* store,
     bool skip_existing) {
   RestoreReport report;
   report.tail_truncated = state.tail_truncated;
 
-  // Merge base: the snapshot's session entries, in snapshot order.
-  std::vector<std::pair<std::string, json::Value>> merged;
-  auto find_merged = [&merged](const std::string& name) -> json::Value* {
-    for (auto& pair : merged) {
-      if (pair.first == name) return &pair.second;
-    }
-    return nullptr;
+  // Fold base: the snapshot's session entries, in snapshot order. A fold
+  // that fails (an undecodable entry or record) keeps its status, and only
+  // that session is skipped below.
+  struct Folded {
+    SessionState state;
+    Status status;
   };
+  std::vector<Folded> merged;
+  std::unordered_map<std::string, size_t> index;
   long long next_id = 1;
   if (state.snapshot.is_object()) {
     next_id = state.snapshot.GetInt("next_id", 1);
@@ -1017,40 +1082,42 @@ Result<RestoreReport> SessionManager::RestoreFromState(
       for (const json::Value& entry : sessions->items()) {
         if (!entry.is_object()) continue;
         const std::string name = entry.GetString("name");
-        if (name.empty() || find_merged(name) != nullptr) continue;
-        merged.emplace_back(name, entry);
+        if (name.empty() || !index.emplace(name, merged.size()).second) {
+          continue;
+        }
+        Result<SessionState> parsed = SessionState::FromJson(entry);
+        merged.push_back({parsed.ok() ? std::move(*parsed) : SessionState(),
+                          parsed.status()});
+        merged.back().state.name = name;
       }
     }
   }
 
   // Roll the journal tail forward. Each session's per-event sequence
   // numbers say which records its snapshot entry already covers. Session
-  // names can be reused across incarnations (a shed submit is dropped,
-  // the retry recreates the name with a fresh id): a create record whose
-  // id differs from the merged entry's starts the name over, so a stale
-  // drop flag or a higher old seq cannot swallow the new session.
+  // names are reused across incarnations (a shed submit is dropped, the
+  // retry recreates the name) and ids are monotone: a record of an older
+  // incarnation than the entry's is stale, and only a create with a newer
+  // id starts the name over.
   for (const json::Value& record : state.tail) {
     const std::string name = record.GetString("session");
-    if (name.empty()) continue;
     const long long seq = record.GetInt("seq", -1);
-    if (seq < 0) continue;
-    json::Value* entry = find_merged(name);
-    if (entry == nullptr) {
-      json::Value fresh = json::Value::Object();
-      fresh.Set("name", name);
-      fresh.Set("seq", 0);
-      merged.emplace_back(name, std::move(fresh));
-      entry = &merged.back().second;
-    } else if (record.GetString("event") == "create" &&
-               record.GetInt("id", -1) != entry->GetInt("id", -1)) {
-      json::Value fresh = json::Value::Object();
-      fresh.Set("name", name);
-      fresh.Set("seq", 0);
-      *entry = std::move(fresh);
+    if (name.empty() || seq < 0) continue;
+    const auto slot = index.emplace(name, merged.size());
+    if (slot.second) merged.emplace_back();
+    Folded& entry = merged[slot.first->second];
+    const uint64_t id = static_cast<uint64_t>(record.GetInt("id", 0));
+    if (id < entry.state.id) continue;
+    if (id > entry.state.id) {
+      if (record.GetString("event") != "create") continue;
+      entry = Folded();
+      entry.state.name = name;
     }
-    if (seq < entry->GetInt("seq", 0)) continue;  // covered by the snapshot
-    ApplyJournalRecord(entry, record);
-    entry->Set("seq", seq + 1);
+    // Covered by the snapshot, or the fold already failed.
+    if (static_cast<uint64_t>(seq) < entry.state.seq || !entry.status.ok()) {
+      continue;
+    }
+    entry.status = Apply(&entry.state, record);
     ++report.journal_records_applied;
   }
 
@@ -1062,33 +1129,32 @@ Result<RestoreReport> SessionManager::RestoreFromState(
   std::unordered_set<std::string> claimed;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto& pair : merged) {
-      const json::Value& entry = pair.second;
-      if (entry.GetBool("dropped", false) || !entry.Has("job")) continue;
-      if (restoring_names_.count(pair.first) != 0) continue;
+    for (const Folded& entry : merged) {
+      const std::string& name = entry.state.name;
+      if (entry.state.dropped || entry.state.id == 0) continue;
+      if (restoring_names_.count(name) != 0) continue;
       bool live = false;
       for (const auto& session : sessions_) {
-        if (session->name() == pair.first) {
+        if (session->name() == name) {
           live = true;
           break;
         }
       }
       if (skip_existing && live) continue;
-      restoring_names_.insert(pair.first);
-      claimed.insert(pair.first);
+      restoring_names_.insert(name);
+      claimed.insert(name);
     }
   }
   if (restore_hook_) restore_hook_();
 
   // Materialize.
-  for (auto& pair : merged) {
-    const std::string& name = pair.first;
-    json::Value& entry = pair.second;
-    if (entry.GetBool("dropped", false)) {
+  for (Folded& entry : merged) {
+    const std::string name = entry.state.name;
+    if (entry.state.dropped) {
       ++report.sessions_dropped;
       continue;
     }
-    if (!entry.Has("job")) {
+    if (entry.state.id == 0) {
       // The create event never became durable; there is nothing to rebuild.
       continue;
     }
@@ -1099,7 +1165,9 @@ Result<RestoreReport> SessionManager::RestoreFromState(
     }
     size_t warm = 0;
     Result<std::unique_ptr<TuningSession>> restored =
-        TuningSession::Restore(entry, store, &warm);
+        entry.status.ok()
+            ? TuningSession::Restore(std::move(entry.state), store, &warm)
+            : Result<std::unique_ptr<TuningSession>>(entry.status);
     if (!restored.ok()) {
       // One undecodable session must not take down recovery of the rest.
       ST_LOG(Warning) << "could not restore session '" << name

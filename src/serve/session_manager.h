@@ -11,17 +11,17 @@
 // state is guarded by one per-session mutex (the tuner itself is only
 // touched by RunJob, which the phase machine keeps single-flight).
 //
-// Durability (src/store/, docs/STATE.md): when a store::DurableStore is
-// attached, every session journals its lifecycle — create / resume /
-// acquire / finish / drop events, one fsync batch per finished job — and
-// serializes its resting state (fitted curves + curve-cache content hashes)
-// into store snapshots. Training rows are never persisted: a session's data
-// world is a pure function of its creation JobSpec and acquire sequence
-// (sim::ScriptedSource determinism), so recovery re-derives the rows and
-// validates each cached curve against their content hashes. A restored
-// session resumes warm: an append_rows resubmission partially refits only
-// the touched slices, with training counts and closing estimates identical
-// to a never-restarted session.
+// Durability (src/store/, docs/STATE.md): a session's durable state is one
+// SessionState that changes only through Apply(state, event). Live sessions
+// apply each lifecycle event and journal it; recovery folds snapshot
+// entries and journal tails through the same Apply. Training rows are
+// never persisted — the data world is a pure function of the creation
+// JobSpec and acquire sequence (sim::ScriptedSource determinism) — and each
+// `finish` carries the curve-cache entries its job changed (the FO+MOD
+// maintenance-under-updates contract), so a restored session resumes warm:
+// an append_rows resubmission refits only the touched slices, with
+// training counts and closing estimates identical to a never-restarted
+// session.
 
 #ifndef SLICETUNER_SERVE_SESSION_MANAGER_H_
 #define SLICETUNER_SERVE_SESSION_MANAGER_H_
@@ -30,8 +30,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -65,6 +67,50 @@ struct AcquireRecord {
   int slice = 0;
   long long count = 0;
 };
+
+/// One curve-cache entry: `slice`'s fitted curve and the content hash of
+/// the rows it was fitted on (engine::HashSliceContent).
+struct CachedCurve {
+  int slice = 0;
+  uint64_t hash = 0;
+  SliceCurveEstimate estimate;
+};
+
+/// Everything a restart must bring back of one session, and nothing else:
+/// mid-job progress (rounds and trainings so far, frames, the span tree)
+/// stays with the live TuningSession.
+struct SessionState {
+  std::string name;
+  uint64_t id = 0;  // 0 until a create event
+  uint64_t seq = 0;  // sequence number of the next event
+  SessionPhase phase = SessionPhase::kQueued;  // never kRunning
+  std::string error;
+  uint64_t trace_id = 0;  // submit that ran the last finished job
+  JobSpec job;  // the job the data world is (or will be) built from
+  bool world_built = false;
+  int next_round = 0;  // acquisition round index of the next job
+  std::vector<AcquireRecord> acquires;
+  int jobs_run = 0;
+  int rounds_completed = 0;
+  long long total_trainings = 0;
+  long long last_job_trainings = 0;
+  double last_job_wall_seconds = 0.0;
+  std::vector<double> curve_b;  // closing curves of the last job
+  std::vector<double> curve_a;
+  // The curve engine's cache at the last job boundary, by slice.
+  std::optional<uint64_t> cache_fingerprint;
+  std::map<int, CachedCurve> cache;
+  bool dropped = false;
+
+  /// The snapshot entry (docs/STATE.md, "Snapshot format").
+  json::Value ToJson() const;
+  static Result<SessionState> FromJson(const json::Value& entry);
+};
+
+/// The one state-transition function: advances `state` by one journal
+/// event (docs/STATE.md, "Session event payloads"). Live sessions commit
+/// every event through it; recovery folds journal tails through it.
+Status Apply(SessionState* state, const json::Value& event);
 
 class TuningSession {
  public:
@@ -111,7 +157,8 @@ class TuningSession {
   }
 
   /// Re-arms a terminal session with a follow-up job (phase back to
-  /// queued). Fails while the session is queued or running.
+  /// queued) and drops the previous job's progress frames. Fails while the
+  /// session is queued or running.
   Status Resume(JobSpec job);
 
   SessionPhase phase() const;
@@ -140,23 +187,25 @@ class TuningSession {
   /// rejected (recovery then knows the name never became visible).
   void LogDropped();
 
-  /// Durable form of the session for a store snapshot: creation job,
-  /// acquire log, counters, closing curves, journal sequence number, and —
-  /// when the session is at rest — the tuner's serialized curve cache
+  /// Durable form of the session for a store snapshot: its SessionState
   /// (docs/STATE.md "session object"). Progress frames are deliberately
   /// not durable; streams do not survive a restart.
   json::Value DurableState() const;
 
-  /// Rebuilds a session from a DurableState()-shaped document (a snapshot
-  /// entry, possibly advanced by journal replay): re-derives the training
-  /// rows from the creation job + acquire log, installs the curve cache
-  /// (each entry validated against the re-derived rows' content hashes),
-  /// and restores counters and phase. A session that was queued or running
-  /// when the state was captured comes back cancelled ("interrupted by
-  /// restart") and can be resumed by the next submit. `warm_slices` (out,
-  /// optional) reports how many slices restored with a hot curve cache.
+  /// {"data_hash", "curve_cache"}: the content hash of the training rows and
+  /// the engine's live cache, so tests can compare a restored session with
+  /// a live one. Null while a job runs or before the data world exists.
+  json::Value RestingState() const;
+
+  /// Rebuilds a session from its folded state: re-derives the training
+  /// rows from the world job + acquire log, installs the curve cache
+  /// through the engine's hash-validated RestoreState, and restores
+  /// counters and phase. A session that was queued or running when the
+  /// state was captured comes back cancelled ("interrupted by restart")
+  /// and can be resumed by the next submit. `warm_slices` (out, optional)
+  /// reports how many slices restored with a hot curve cache.
   static Result<std::unique_ptr<TuningSession>> Restore(
-      const json::Value& state, store::DurableStore* store,
+      SessionState state, store::DurableStore* store,
       size_t* warm_slices = nullptr);
 
  private:
@@ -165,18 +214,20 @@ class TuningSession {
   /// Builds the session's data world from its creation job (cold path of
   /// ExecuteJob and the recovery replay). Sets source_/tuner_/rows_.
   Status BuildWorld(const JobSpec& job);
-  /// Appends one journal event (requires mu_ held; no-op without a store).
-  /// Adds session/id/seq envelope fields and advances the sequence number.
-  void LogEventLocked(json::Value event);
+  /// The one live transition: stamps the session/id/seq envelope on
+  /// `event`, applies it to state_, and journals it when a store is
+  /// attached. Requires mu_ held.
+  void CommitLocked(json::Value event);
+  /// running while a job executes, else the state's phase. Requires mu_.
+  SessionPhase PhaseLocked() const;
 
   const uint64_t id_;
   const std::string name_;
   store::DurableStore* store_ = nullptr;  // not owned; may be null
-  JobSpec creation_job_;
 
   mutable std::mutex mu_;
   mutable std::condition_variable phase_cv_;
-  SessionPhase phase_ = SessionPhase::kQueued;
+  SessionState state_;  // guarded by mu_; changed only by CommitLocked
   JobSpec pending_job_;
   Status last_status_;
   std::vector<json::Value> frames_;
@@ -192,27 +243,24 @@ class TuningSession {
   // Span tree of the last completed job (guarded by mu_).
   json::Value last_trace_tree_;
 
+  // Mid-job progress (guarded by mu_; written by the RunJob thread). The
+  // job's finish event folds it into state_; the next job resets it.
+  struct Progress {
+    bool running = false;
+    int next_round = 0;  // monotone across jobs: keeps draws fresh
+    int rounds = 0;
+    long long trainings = 0;
+    std::vector<double> curve_b;  // closing curves, once estimated
+    std::vector<double> curve_a;
+  };
+  Progress job_;
+  long long rows_ = 0;  // the tuner's training rows (guarded by mu_)
+
   // Long-lived tuning state (only RunJob touches these; single-flight by
   // phase machine).
   std::unique_ptr<SliceTuner> tuner_;
   std::unique_ptr<sim::ScriptedSource> source_;
-  int next_round_index_ = 0;  // monotone across jobs: keeps draws fresh
 
-  // Durability bookkeeping (guarded by mu_; only used with a store).
-  std::vector<AcquireRecord> acquire_log_;
-  uint64_t events_logged_ = 0;  // journal sequence number of the next event
-
-  // Counters (guarded by mu_).
-  int jobs_run_ = 0;
-  int rounds_completed_ = 0;
-  long long total_trainings_ = 0;
-  long long last_job_trainings_ = 0;
-  double last_job_wall_seconds_ = 0.0;
-  long long rows_ = 0;
-  // Curves fitted on the session's resting data by the job's closing
-  // estimate (surfaced through Snapshot).
-  std::vector<double> final_curve_b_;
-  std::vector<double> final_curve_a_;
   // Copy of the curve engine's counters taken at job boundaries. Snapshot
   // reads this instead of engine.stats() so a poll never waits on the
   // engine lock a running estimation holds.
@@ -294,9 +342,10 @@ class SessionManager {
   /// serving traffic; existing sessions are not retrofitted.
   void AttachStore(store::DurableStore* store);
 
-  /// Materializes sessions from recovered state: merges the snapshot's
-  /// session entries with the journal tail (per-session sequence numbers
-  /// decide which tail records the snapshot already covers), then rebuilds
+  /// Materializes sessions from recovered state: folds each snapshot
+  /// entry and the journal tail through Apply (per-session sequence
+  /// numbers decide which tail records the snapshot already covers;
+  /// records of an older incarnation of a name are skipped), then rebuilds
   /// each surviving session via TuningSession::Restore. With
   /// `skip_existing`, names already registered are left untouched (the
   /// runtime `restore` verb); startup recovery passes false on an empty
@@ -306,7 +355,7 @@ class SessionManager {
                                          bool skip_existing);
 
   /// The store snapshot document covering every registered session (plus
-  /// the id allocator), ready for DurableStore::WriteSnapshot/Compact.
+  /// the id allocator): the provider DurableStore::CheckpointOnline folds.
   json::Value DurableSnapshot() const;
 
   /// Test hook: invoked by RestoreFromState after claiming the names it

@@ -44,7 +44,9 @@ struct MaintenancePolicy {
   /// Maintenance thread wake cadence; triggers are also checked eagerly on
   /// every finished-job notification.
   int interval_ms = 250;
-  /// Superseded checkpoints kept as snapshot-NNNNNN.st rollback artifacts.
+  /// Superseded checkpoints kept as snapshot-NNNNNN.st rollback artifacts
+  /// (the server's startup, shutdown and `snapshot`-verb checkpoints honor
+  /// it too).
   int retain_snapshots = 2;
 
   /// The policy is active when at least one trigger is configured.

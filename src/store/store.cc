@@ -50,67 +50,36 @@ std::string JournalPath(const std::string& dir, uint64_t generation) {
                                static_cast<unsigned long long>(generation));
 }
 
-// journal-NNNNNN.wal -> NNNNNN; 0 when the name is not a journal file.
-uint64_t GenerationOf(const std::string& name) {
-  constexpr size_t kPrefixLen = 8;  // "journal-"
-  constexpr size_t kDigits = 6;
-  if (name.size() != kPrefixLen + kDigits + 4 ||
-      name.rfind("journal-", 0) != 0 ||
-      name.substr(kPrefixLen + kDigits) != ".wal") {
-    return 0;
-  }
-  uint64_t gen = 0;
-  for (size_t i = kPrefixLen; i < kPrefixLen + kDigits; ++i) {
-    if (name[i] < '0' || name[i] > '9') return 0;
-    gen = gen * 10 + static_cast<uint64_t>(name[i] - '0');
-  }
-  return gen;
-}
-
-Result<std::vector<uint64_t>> ListGenerations(const std::string& dir) {
-  ST_ASSIGN_OR_RETURN(const std::vector<std::string> names,
-                      ListDirFiles(dir));
-  std::vector<uint64_t> generations;
-  for (const std::string& name : names) {
-    const uint64_t gen = GenerationOf(name);
-    if (gen > 0) generations.push_back(gen);
-  }
-  std::sort(generations.begin(), generations.end());
-  return generations;
-}
-
 std::string RetainedSnapshotPath(const std::string& dir, uint64_t generation) {
   return dir + "/" + StrFormat("snapshot-%06llu.st",
                                static_cast<unsigned long long>(generation));
 }
 
-// snapshot-NNNNNN.st -> NNNNNN; 0 when the name is not a retained snapshot.
-uint64_t RetainedSnapshotOf(const std::string& name) {
-  constexpr size_t kPrefixLen = 9;  // "snapshot-"
-  constexpr size_t kDigits = 6;
-  if (name.size() != kPrefixLen + kDigits + 3 ||
-      name.rfind("snapshot-", 0) != 0 ||
-      name.substr(kPrefixLen + kDigits) != ".st") {
-    return 0;
-  }
-  uint64_t gen = 0;
-  for (size_t i = kPrefixLen; i < kPrefixLen + kDigits; ++i) {
-    if (name[i] < '0' || name[i] > '9') return 0;
-    gen = gen * 10 + static_cast<uint64_t>(name[i] - '0');
-  }
-  return gen;
-}
-
-Result<std::vector<uint64_t>> ListRetainedSnapshots(const std::string& dir) {
+// The sorted generation numbers NNNNNN of the <prefix>NNNNNN<suffix> files
+// in `dir`: journal generations and retained snapshots.
+Result<std::vector<uint64_t>> ListGenerations(const std::string& dir,
+                                              const std::string& prefix,
+                                              const std::string& suffix) {
   ST_ASSIGN_OR_RETURN(const std::vector<std::string> names,
                       ListDirFiles(dir));
-  std::vector<uint64_t> retained;
+  constexpr size_t kDigits = 6;
+  std::vector<uint64_t> generations;
   for (const std::string& name : names) {
-    const uint64_t gen = RetainedSnapshotOf(name);
-    if (gen > 0) retained.push_back(gen);
+    if (name.size() != prefix.size() + kDigits + suffix.size() ||
+        name.rfind(prefix, 0) != 0 ||
+        name.substr(prefix.size() + kDigits) != suffix) {
+      continue;
+    }
+    uint64_t gen = 0;
+    bool digits = true;
+    for (size_t i = prefix.size(); i < prefix.size() + kDigits; ++i) {
+      digits = digits && name[i] >= '0' && name[i] <= '9';
+      gen = gen * 10 + static_cast<uint64_t>(name[i] - '0');
+    }
+    if (digits && gen > 0) generations.push_back(gen);
   }
-  std::sort(retained.begin(), retained.end());
-  return retained;
+  std::sort(generations.begin(), generations.end());
+  return generations;
 }
 
 // Shared by ReadStateDir and DurableStore::Open so Open does not have to
@@ -129,7 +98,7 @@ Result<RecoveredState> ReadStateDirImpl(
   }
 
   ST_ASSIGN_OR_RETURN(const std::vector<uint64_t> generations,
-                      ListGenerations(dir));
+                      ListGenerations(dir, "journal-", ".wal"));
   for (size_t i = 0; i < generations.size(); ++i) {
     const std::string path = JournalPath(dir, generations[i]);
     ST_ASSIGN_OR_RETURN(JournalReadResult read, ReadJournal(path));
@@ -246,55 +215,6 @@ Status DurableStore::Sync() {
   return Status::OK();
 }
 
-Status DurableStore::WriteSnapshot(const json::Value& doc) {
-  std::lock_guard<std::mutex> checkpoint_lock(checkpoint_mu_);
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t bytes = 0;
-  ST_RETURN_NOT_OK(WriteSnapshotFile(dir_ + "/" + kSnapshotName, doc,
-                                     &bytes));
-  ++stats_.snapshots_written;
-  Metrics().snapshots->Add();
-  Metrics().snapshot_bytes->Set(static_cast<double>(bytes));
-  // Rotate: the replaced snapshot covers (at least) everything up to some
-  // recent point; the retained generations bridge any gap.
-  sealed_.emplace_back(generation_, writer_.valid_length());
-  sealed_bytes_ += writer_.valid_length();
-  ST_RETURN_NOT_OK(writer_.Close());
-  ++generation_;
-  ST_ASSIGN_OR_RETURN(writer_, JournalWriter::Open(JournalPath(dir_,
-                                                               generation_)));
-  stats_.journal_generation = generation_;
-  RefreshTailLocked();
-  return Status::OK();
-}
-
-Status DurableStore::Compact(const json::Value& doc) {
-  std::lock_guard<std::mutex> checkpoint_lock(checkpoint_mu_);
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t bytes = 0;
-  ST_RETURN_NOT_OK(WriteSnapshotFile(dir_ + "/" + kSnapshotName, doc,
-                                     &bytes));
-  ++stats_.snapshots_written;
-  Metrics().snapshots->Add();
-  Metrics().snapshot_bytes->Set(static_cast<double>(bytes));
-  ST_RETURN_NOT_OK(writer_.Close());
-  // The new snapshot is durable; every retained generation is now redundant.
-  ST_ASSIGN_OR_RETURN(const std::vector<uint64_t> generations,
-                      ListGenerations(dir_));
-  for (const uint64_t gen : generations) {
-    ST_RETURN_NOT_OK(RemoveFile(JournalPath(dir_, gen)));
-  }
-  stats_.journals_retired += generations.size();
-  sealed_.clear();
-  sealed_bytes_ = 0;
-  ++generation_;
-  ST_ASSIGN_OR_RETURN(writer_, JournalWriter::Open(JournalPath(dir_,
-                                                               generation_)));
-  stats_.journal_generation = generation_;
-  RefreshTailLocked();
-  return Status::OK();
-}
-
 Status DurableStore::PreserveSnapshot(uint64_t sealed_generation) {
   const std::string current = dir_ + "/" + kSnapshotName;
   const std::string retained = RetainedSnapshotPath(dir_, sealed_generation);
@@ -372,7 +292,7 @@ Result<CheckpointReport> DurableStore::CheckpointOnline(
   // first: a crash mid-loop leaves a contiguous chain suffix, which
   // recovery replays (and skips) like any other tail.
   ST_ASSIGN_OR_RETURN(const std::vector<uint64_t> generations,
-                      ListGenerations(dir_));
+                      ListGenerations(dir_, "journal-", ".wal"));
   for (const uint64_t gen : generations) {
     if (gen > report.sealed_generation) continue;
     ST_RETURN_NOT_OK(injector.Reached(fault::kMaintRetireJournal));
@@ -392,7 +312,7 @@ Result<CheckpointReport> DurableStore::CheckpointOnline(
   // oldest first. Recovery never reads these, so any partial outcome is
   // benign; they exist for operators to roll back to.
   ST_ASSIGN_OR_RETURN(const std::vector<uint64_t> retained,
-                      ListRetainedSnapshots(dir_));
+                      ListGenerations(dir_, "snapshot-", ".st"));
   const size_t keep =
       retain_snapshots < 0 ? 0 : static_cast<size_t>(retain_snapshots);
   for (size_t i = 0; i + keep < retained.size(); ++i) {

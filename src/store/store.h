@@ -9,6 +9,7 @@
 //                            replaced atomically)
 //   <dir>/journal-NNNNNN.wal CRC-framed record log (store/journal.h framing);
 //                            NNNNNN is the generation number
+//   <dir>/snapshot-NNNNNN.st superseded checkpoint kept for rollback
 //
 // Lifecycle and invariants:
 //
@@ -20,23 +21,17 @@
 //     the newest generation only; anywhere else it is corruption.
 //   * Appends go to a generation opened fresh by Open() — recovered files
 //     are never appended to.
-//   * WriteSnapshot() checkpoints: atomically replaces snapshot.st, then
-//     rotates to a new journal generation. Old generations are retained
-//     (not deleted), so a snapshot racing concurrent appends can lose
-//     nothing: any record the snapshot missed is still replayed from the
-//     retained chain on the next Open.
-//   * Compact() = WriteSnapshot + delete all older generations. Only safe
-//     when the caller guarantees `doc` covers every recovered and appended
-//     record — i.e. at startup, after recovery, before serving traffic.
-//   * CheckpointOnline() is the maintenance path: the same collapse while
-//     the store serves writers, phased so appends only block for the O(1)
-//     generation rotate (docs/STATE.md, "Maintenance lifecycle", spells
-//     out the per-phase crash invariants). Superseded checkpoints are kept
-//     as `snapshot-NNNNNN.st` rollback artifacts up to a retention count.
+//   * CheckpointOnline() is the one checkpoint path — startup compaction,
+//     background maintenance, the `snapshot` verb and the shutdown
+//     snapshot all use it. It collapses the chain while the store serves
+//     writers, phased so appends only block for the O(1) generation rotate
+//     (docs/STATE.md, "Maintenance lifecycle", spells out the per-phase
+//     crash invariants), and retires every generation the new snapshot
+//     covers. Superseded checkpoints are kept as `snapshot-NNNNNN.st`
+//     rollback artifacts up to a retention count.
 //
 // Thread safety: append-path methods are serialized on one internal mutex;
-// checkpoint writers (WriteSnapshot / Compact / CheckpointOnline) are
-// additionally serialized among themselves on a checkpoint mutex, which
+// checkpoints are serialized among themselves on a checkpoint mutex, which
 // CheckpointOnline holds *instead of* the append mutex for its slow
 // phases. Append is cheap (buffered); Sync is the group-commit fsync.
 
@@ -118,14 +113,6 @@ class DurableStore {
 
   /// Group-commit: fsync everything appended so far.
   Status Sync();
-
-  /// Checkpoint: atomically replace the snapshot, rotate to a fresh journal
-  /// generation, retain old generations.
-  Status WriteSnapshot(const json::Value& doc);
-
-  /// Checkpoint and drop history: snapshot `doc`, delete every retained
-  /// generation, restart the chain. Startup-only (see file comment).
-  Status Compact(const json::Value& doc);
 
   /// Online checkpoint — the background-maintenance collapse, safe while
   /// other threads append. Phases (each bounded, each a registered fault

@@ -62,7 +62,7 @@ TEST(LoadE2ETest, KillAndRestartRunPassesAllGates) {
   for (const char* key :
        {"all_sessions_terminal", "no_sessions_failed",
         "no_acknowledged_lost", "restart_recovered", "oracle_match",
-        "slo_shed_rate_ok", "slo_poll_p99_ok", "slo_submit_p99_ok",
+        "oracle_covers_clean", "slo_shed_rate_ok", "slo_poll_p99_ok", "slo_submit_p99_ok",
         "daemon_clean_shutdown"}) {
     ASSERT_TRUE(summary->Has(key)) << key;
     EXPECT_TRUE(summary->GetBool(key)) << key << "\n" << run.output;

@@ -456,10 +456,11 @@ TEST(ServeSmokeTest, MaintenanceCrashMidCheckpointRestartsAndRecovers) {
       " --snapshot-every-jobs=2 --maintenance-interval-ms=25"
       " --retain-snapshots=1";
   int port = 0;
-  // skip=1: the first checkpoint passes the point; the second dies there.
+  // skip=2: the startup checkpoint and the first maintenance checkpoint
+  // pass the point; the second maintenance checkpoint dies there.
   std::FILE* server = LaunchServer(
       maint_flags, &port, nullptr,
-      "SLICETUNER_FAULT_CRASH=maint.post_snapshot.pre_retire:1 ");
+      "SLICETUNER_FAULT_CRASH=maint.post_snapshot.pre_retire:2 ");
   ASSERT_NE(server, nullptr);
   ASSERT_GT(port, 0);
   std::string client =

@@ -280,9 +280,10 @@ TEST(SessionTest, ResubmitWithAppendedRowsRidesPartialRefit) {
 
   // The append consumes its own acquisition-round index (the cold 1-round
   // job used round 0, the append round 1), so the resumed job's round is 2
-  // and its acquisitions cannot replay the appended rows' draws.
-  ASSERT_EQ((*resumed)->FrameCount(), 2u);
-  EXPECT_EQ((*resumed)->FrameAt(1).GetInt("round"), 2);
+  // and its acquisitions cannot replay the appended rows' draws. Resume
+  // dropped the cold job's frame.
+  ASSERT_EQ((*resumed)->FrameCount(), 1u);
+  EXPECT_EQ((*resumed)->FrameAt(0).GetInt("round"), 2);
 
   const json::Value snapshot = (*resumed)->Snapshot();
   const json::Value* cache = snapshot.Find("curve_cache");
@@ -407,6 +408,37 @@ TEST(TuningServerTest, SubmitStreamStatsShutdownEndToEnd) {
   ASSERT_TRUE(shutdown.ok());
   EXPECT_TRUE(IsOkResponse(*shutdown));
   server.Wait();  // graceful: returns once both threads exited
+}
+
+// A resumed session streams only its new job's frames: Resume drops the
+// previous job's frames, so the second stream starts again at seq 0
+// (docs/PROTOCOL.md: frames survive until the next job re-arms the
+// session).
+TEST(TuningServerTest, StreamOfResumedSessionCarriesOnlyTheNewJob) {
+  TuningServer server;
+  ASSERT_TRUE(server.Start().ok());
+  auto connection = ClientConnection::Connect(server.port());
+  ASSERT_TRUE(connection.ok()) << connection.status();
+
+  const auto run_and_stream = [&](int rounds) {
+    std::vector<long long> seqs;
+    auto submitted = connection->Call(SubmitRequest(SmallJob("rf", rounds)));
+    EXPECT_TRUE(submitted.ok() && IsOkResponse(*submitted));
+    auto streaming =
+        connection->Call(SessionRequest(RequestType::kStream, "rf"));
+    EXPECT_TRUE(streaming.ok() && IsOkResponse(*streaming));
+    for (;;) {
+      auto frame = connection->ReadJson(/*timeout_ms=*/60000);
+      if (!frame.ok() || frame->GetString("frame") != "progress") break;
+      seqs.push_back(frame->GetInt("seq"));
+    }
+    return seqs;
+  };
+  EXPECT_EQ(run_and_stream(2), (std::vector<long long>{0, 1}));
+  EXPECT_EQ(run_and_stream(3), (std::vector<long long>{0, 1, 2}));
+
+  server.RequestShutdown();
+  server.Wait();
 }
 
 TEST(TuningServerTest, MetricsVerbExposesInstrumentedStack) {

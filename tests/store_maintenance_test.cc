@@ -98,10 +98,7 @@ std::string CurvesDump(const TuningSession& session) {
 
 // Content hash of the session's resting training data.
 std::string DataHash(const TuningSession& session) {
-  const json::Value state = session.DurableState();
-  const json::Value* resting = state.Find("resting");
-  return resting == nullptr ? std::string()
-                            : resting->GetString("data_hash");
+  return session.RestingState().GetString("data_hash");
 }
 
 json::Value RawRecord(int i) {

@@ -9,7 +9,9 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,13 +70,20 @@ std::string CurvesDump(const TuningSession& session) {
   return curves == nullptr ? std::string() : curves->Dump();
 }
 
-// Content hash of the session's resting training data (via DurableState's
-// serialized tuner state). Empty when the session has no data world yet.
+// Content hash of the session's resting training data. Empty when the
+// session has no data world yet.
 std::string DataHash(const TuningSession& session) {
-  const json::Value state = session.DurableState();
-  const json::Value* resting = state.Find("resting");
-  return resting == nullptr ? std::string()
-                            : resting->GetString("data_hash");
+  return session.RestingState().GetString("data_hash");
+}
+
+// Snapshots every session of `manager` through the store's one checkpoint
+// path.
+void Checkpoint(store::DurableStore* store, const SessionManager& manager) {
+  ST_CHECK_OK(store
+                  ->CheckpointOnline(
+                      [&manager] { return manager.DurableSnapshot(); },
+                      /*retain_snapshots=*/1)
+                  .status());
 }
 
 // The headline guarantee. Control: one manager runs cold job + append job
@@ -111,7 +120,7 @@ TEST(StoreRecoveryTest, WarmRestartEquivalence) {
     manager.AttachStore(store->get());
     TuningSession* session = MustRegisterAndRun(&manager, ColdJob("s"));
     durable_cold_trainings = session->last_job_trainings();
-    ST_CHECK_OK((*store)->WriteSnapshot(manager.DurableSnapshot()));
+    Checkpoint(store->get(), manager);
   }
   EXPECT_EQ(durable_cold_trainings, control_cold_trainings);
 
@@ -155,11 +164,9 @@ TEST(StoreRecoveryTest, WarmRestartEquivalence) {
 
 // Recovery with no snapshot at all: the journal tail alone (create, world,
 // acquire, finish events) must rebuild the session's data world
-// bit-identically. Without a checkpointed curve cache the next estimate
-// runs cold — strictly more trainings than the warm path (closing curves
-// are NOT compared here: a cold refit sees the untouched slices' newer
-// cross-slice context, which the warm cache deliberately reuses — the
-// engine's documented incremental-maintenance approximation).
+// bit-identically, and the finish record's curve-cache delta brings it
+// back warm — the next append job matches a never-restarted session's
+// training count and closing curves exactly.
 TEST(StoreRecoveryTest, JournalOnlyRecoveryRebuildsDataExactly) {
   SessionManager control;
   TuningSession* control_session = MustRegisterAndRun(&control, ColdJob("j"));
@@ -167,6 +174,7 @@ TEST(StoreRecoveryTest, JournalOnlyRecoveryRebuildsDataExactly) {
   MustRegisterAndRun(&control, AppendJob("j"));
   const long long control_warm_trainings =
       control_session->last_job_trainings();
+  const std::string control_curves = CurvesDump(*control_session);
   ASSERT_FALSE(control_cold_hash.empty());
 
   const std::string dir = FreshDir("journal_only");
@@ -179,7 +187,7 @@ TEST(StoreRecoveryTest, JournalOnlyRecoveryRebuildsDataExactly) {
     manager.AttachStore(store->get());
     TuningSession* session = MustRegisterAndRun(&manager, ColdJob("j"));
     cold_rows = session->Snapshot().GetInt("rows");
-    // No WriteSnapshot: the journal (synced at job finish) is all there is.
+    // No checkpoint: the journal (synced at job finish) is all there is.
   }
 
   Result<std::unique_ptr<store::DurableStore>> reopened =
@@ -191,7 +199,7 @@ TEST(StoreRecoveryTest, JournalOnlyRecoveryRebuildsDataExactly) {
   ST_CHECK_OK(report.status());
   EXPECT_EQ(report->sessions_restored, 1u);
   EXPECT_GT(report->journal_records_applied, 0u);
-  EXPECT_EQ(report->warm_slices, 0u) << "no snapshot, no warm cache";
+  EXPECT_EQ(report->warm_slices, 4u) << "the finish record carries the cache";
 
   TuningSession* restored = recovered.Find("j");
   ASSERT_NE(restored, nullptr);
@@ -202,9 +210,74 @@ TEST(StoreRecoveryTest, JournalOnlyRecoveryRebuildsDataExactly) {
 
   ST_CHECK_OK(recovered.Register(AppendJob("j")).status());
   ST_CHECK_OK(restored->RunJob());
-  // Cold cache: strictly more trainings than the warm path. (The data
-  // worlds can diverge after this job: different fitted curves give the
-  // optimizer different allocations.)
+  EXPECT_EQ(restored->last_job_trainings(), control_warm_trainings);
+  EXPECT_EQ(CurvesDump(*restored), control_curves);
+}
+
+// Journals written before finish records carried the curve-cache delta
+// still fold: the session restores with its rows, counters and closing
+// curves, just cold, and its next append refits more than the warm path.
+TEST(StoreRecoveryTest, FinishWithoutCacheDeltaRestoresCold) {
+  SessionManager control;
+  TuningSession* control_session = MustRegisterAndRun(&control, ColdJob("o"));
+  const std::string control_cold_hash = DataHash(*control_session);
+  const std::string control_cold_curves = CurvesDump(*control_session);
+  MustRegisterAndRun(&control, AppendJob("o"));
+  const long long control_warm_trainings =
+      control_session->last_job_trainings();
+
+  // Journal a live session, then copy its records into a fresh directory
+  // with the finish record's cache member removed.
+  const std::string live_dir = FreshDir("old_finish_live");
+  {
+    Result<std::unique_ptr<store::DurableStore>> store =
+        store::DurableStore::Open(live_dir);
+    ST_CHECK_OK(store.status());
+    SessionManager manager;
+    manager.AttachStore(store->get());
+    MustRegisterAndRun(&manager, ColdJob("o"));
+  }
+  const Result<store::RecoveredState> journal = store::ReadStateDir(live_dir);
+  ST_CHECK_OK(journal.status());
+  const std::string dir = FreshDir("old_finish");
+  {
+    Result<std::unique_ptr<store::DurableStore>> store =
+        store::DurableStore::Open(dir);
+    ST_CHECK_OK(store.status());
+    bool saw_cache = false;
+    for (const json::Value& record : journal->tail) {
+      json::Value old_format = json::Value::Object();
+      for (const auto& member : record.members()) {
+        if (member.first == "cache") {
+          saw_cache = true;
+          continue;
+        }
+        old_format.Set(member.first, member.second);
+      }
+      ST_CHECK_OK((*store)->Append(old_format));
+    }
+    ST_CHECK_OK((*store)->Sync());
+    ASSERT_TRUE(saw_cache) << "the live finish record should carry a cache";
+  }
+
+  Result<std::unique_ptr<store::DurableStore>> reopened =
+      store::DurableStore::Open(dir);
+  ST_CHECK_OK(reopened.status());
+  SessionManager recovered;
+  const Result<RestoreReport> report = recovered.RestoreFromState(
+      (*reopened)->recovered(), reopened->get(), /*skip_existing=*/false);
+  ST_CHECK_OK(report.status());
+  EXPECT_EQ(report->sessions_restored, 1u);
+  EXPECT_EQ(report->warm_slices, 0u);
+  TuningSession* restored = recovered.Find("o");
+  ASSERT_NE(restored, nullptr);
+  EXPECT_EQ(restored->phase(), SessionPhase::kDone);
+  EXPECT_EQ(restored->Snapshot().GetInt("jobs_run"), 1);
+  EXPECT_EQ(DataHash(*restored), control_cold_hash);
+  EXPECT_EQ(CurvesDump(*restored), control_cold_curves);
+
+  ST_CHECK_OK(recovered.Register(AppendJob("o")).status());
+  ST_CHECK_OK(restored->RunJob());
   EXPECT_GT(restored->last_job_trainings(), control_warm_trainings);
 }
 
@@ -220,7 +293,7 @@ TEST(StoreRecoveryTest, SnapshotPlusNewerJournalTailComposes) {
     SessionManager manager;
     manager.AttachStore(store->get());
     TuningSession* session = MustRegisterAndRun(&manager, ColdJob("t"));
-    ST_CHECK_OK((*store)->WriteSnapshot(manager.DurableSnapshot()));
+    Checkpoint(store->get(), manager);
     // Activity after the checkpoint lives only in the journal.
     ST_CHECK_OK(manager.Register(AppendJob("t")).status());
     ST_CHECK_OK(session->RunJob());
@@ -341,6 +414,145 @@ TEST(StoreRecoveryTest, DroppedThenRecreatedSessionRestores) {
   EXPECT_EQ(restored->Snapshot().GetInt("jobs_run"), 1);
 }
 
+// A shed submit and its retry can land while a checkpoint runs: between
+// the checkpoint's seal and its fold, so the new snapshot covers the
+// recreated name while the journal tail still holds both incarnations.
+// Recovery must skip the older incarnation's records instead of starting
+// the name over from the journal, and bring the session back warm.
+TEST(StoreRecoveryTest, ShedAndRecreateDuringCheckpointRestoresWarm) {
+  const std::string dir = FreshDir("stale_incarnation");
+  {
+    Result<std::unique_ptr<store::DurableStore>> store =
+        store::DurableStore::Open(dir);
+    ST_CHECK_OK(store.status());
+    SessionManager manager;
+    manager.AttachStore(store->get());
+    const auto provider = [&manager] {
+      const Result<TuningSession*> shed = manager.Register(ColdJob("x"));
+      ST_CHECK_OK(shed.status());
+      manager.Drop((*shed)->id());
+      MustRegisterAndRun(&manager, ColdJob("x"));
+      return manager.DurableSnapshot();
+    };
+    ST_CHECK_OK((*store)->CheckpointOnline(provider, 1).status());
+  }
+
+  Result<std::unique_ptr<store::DurableStore>> reopened =
+      store::DurableStore::Open(dir);
+  ST_CHECK_OK(reopened.status());
+  ASSERT_FALSE((*reopened)->recovered().tail.empty());
+  SessionManager recovered;
+  const Result<RestoreReport> report = recovered.RestoreFromState(
+      (*reopened)->recovered(), reopened->get(), /*skip_existing=*/false);
+  ST_CHECK_OK(report.status());
+  EXPECT_EQ(report->sessions_restored, 1u);
+  EXPECT_EQ(report->warm_slices, 4u);
+  TuningSession* restored = recovered.Find("x");
+  ASSERT_NE(restored, nullptr);
+  EXPECT_EQ(restored->phase(), SessionPhase::kDone);
+  EXPECT_EQ(restored->Snapshot().GetInt("jobs_run"), 1);
+}
+
+// Names with a surviving incarnation in a journal prefix: the last create
+// per name, unless a drop of that same id follows it.
+size_t LiveNamesIn(const std::vector<json::Value>& records, size_t count) {
+  std::map<std::string, std::pair<long long, bool>> names;
+  for (size_t i = 0; i < count; ++i) {
+    const std::string event = records[i].GetString("event");
+    const std::string name = records[i].GetString("session");
+    if (event == "create") {
+      names[name] = {records[i].GetInt("id"), true};
+    } else if (event == "drop" &&
+               names[name].first == records[i].GetInt("id")) {
+      names[name].second = false;
+    }
+  }
+  size_t live = 0;
+  for (const auto& name : names) live += name.second.second ? 1 : 0;
+  return live;
+}
+
+// Prefix property: seeded random histories of creates, cold jobs,
+// append_rows resumes, cancel-before-start and drops. Every prefix of the
+// journal folds and restores every surviving session; at every job
+// boundary the restored sessions' durable state, rows and curve-engine
+// cache equal the live ones, and the next append job gives bit-identical
+// closing curves and training counts.
+TEST(StoreRecoveryTest, EveryJournalPrefixRestoresTheLiveState) {
+  const std::vector<std::string> names = {"p0", "p1", "p2"};
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    const std::string dir = FreshDir("prefix_" + std::to_string(seed));
+    Result<std::unique_ptr<store::DurableStore>> store =
+        store::DurableStore::Open(dir);
+    ST_CHECK_OK(store.status());
+    SessionManager live;
+    live.AttachStore(store->get());
+    std::mt19937_64 rng(seed);
+    size_t checked_prefix = 0;
+    int appends_compared = 0;
+    for (int step = 0; step < 10; ++step) {
+      ST_CHECK_OK((*store)->Sync());
+      const Result<store::RecoveredState> journal = store::ReadStateDir(dir);
+      ST_CHECK_OK(journal.status());
+      const std::vector<json::Value>& tail = journal->tail;
+      // Every prefix since the last boundary folds and restores.
+      for (size_t cut = checked_prefix; cut < tail.size(); ++cut) {
+        store::RecoveredState prefix;
+        prefix.tail.assign(tail.begin(), tail.begin() + cut);
+        SessionManager restored;
+        const Result<RestoreReport> report =
+            restored.RestoreFromState(prefix, nullptr, false);
+        ST_CHECK_OK(report.status());
+        EXPECT_EQ(report->sessions_restored, LiveNamesIn(tail, cut))
+            << "seed " << seed << " prefix " << cut;
+      }
+      checked_prefix = tail.size();
+
+      // Job boundary: the whole journal restores to the live state.
+      SessionManager restored;
+      ST_CHECK_OK(restored.RestoreFromState(*journal, nullptr, false).status());
+      for (const std::string& name : names) {
+        TuningSession* want = live.Find(name);
+        TuningSession* got = restored.Find(name);
+        ASSERT_EQ(want == nullptr, got == nullptr) << name;
+        if (want == nullptr) continue;
+        EXPECT_EQ(got->DurableState().Dump(), want->DurableState().Dump())
+            << "seed " << seed << " step " << step;
+        EXPECT_EQ(got->RestingState().Dump(), want->RestingState().Dump())
+            << "seed " << seed << " step " << step;
+      }
+
+      const std::string name = names[rng() % names.size()];
+      TuningSession* session = live.Find(name);
+      const int op = static_cast<int>(rng() % 4);
+      if (session != nullptr && session->Snapshot().GetInt("jobs_run") > 0 &&
+          op < 2) {
+        // append_rows resume, run live and on the restored twin.
+        TuningSession* twin = restored.Find(name);
+        MustRegisterAndRun(&live, AppendJob(name));
+        MustRegisterAndRun(&restored, AppendJob(name));
+        EXPECT_EQ(twin->last_job_trainings(), session->last_job_trainings());
+        EXPECT_EQ(CurvesDump(*twin), CurvesDump(*session));
+        ++appends_compared;
+      } else if (op == 2) {
+        // Cancel before start (creates the name when it is new).
+        const Result<TuningSession*> armed = live.Register(ColdJob(name));
+        ST_CHECK_OK(armed.status());
+        (*armed)->RequestCancel();
+        EXPECT_EQ((*armed)->RunJob().code(), StatusCode::kCancelled);
+      } else if (op == 3 && session == nullptr) {
+        // Admission rejects a fresh name: the registration is dropped.
+        const Result<TuningSession*> shed = live.Register(ColdJob(name));
+        ST_CHECK_OK(shed.status());
+        live.Drop((*shed)->id());
+      } else {
+        MustRegisterAndRun(&live, ColdJob(name));
+      }
+    }
+    EXPECT_GT(appends_compared, 0) << "seed " << seed;
+  }
+}
+
 // Torn journal tail at the serving level: garbage appended to the newest
 // generation (a mid-write crash) must not block recovery of the sessions
 // whose records preceded it.
@@ -395,7 +607,7 @@ TEST(StoreRecoveryTest, SkipExistingLeavesLiveSessionsAlone) {
     manager.AttachStore(store->get());
     MustRegisterAndRun(&manager, ColdJob("live"));
     MustRegisterAndRun(&manager, ColdJob("gone"));
-    ST_CHECK_OK((*store)->WriteSnapshot(manager.DurableSnapshot()));
+    Checkpoint(store->get(), manager);
   }
 
   Result<std::unique_ptr<store::DurableStore>> reopened =
@@ -426,7 +638,7 @@ TEST(StoreRecoveryTest, RegisterShedsWhileNameIsMidRestore) {
     SessionManager manager;
     manager.AttachStore(store->get());
     MustRegisterAndRun(&manager, ColdJob("m"));
-    ST_CHECK_OK((*store)->WriteSnapshot(manager.DurableSnapshot()));
+    Checkpoint(store->get(), manager);
   }
 
   Result<std::unique_ptr<store::DurableStore>> reopened =

@@ -232,30 +232,7 @@ TEST(DurableStoreTest, RecoversAppendsAcrossReopen) {
   EXPECT_EQ((*reopened)->recovered().tail[1].GetInt("n"), 2);
 }
 
-TEST(DurableStoreTest, SnapshotRotatesGenerationAndRetainsJournal) {
-  const std::string dir = FreshDir("store_rotate");
-  Result<std::unique_ptr<DurableStore>> opened = DurableStore::Open(dir);
-  ST_CHECK_OK(opened.status());
-  DurableStore& store = **opened;
-  ST_CHECK_OK(store.Append(Record(1)));
-  json::Value doc = json::Value::Object();
-  doc.Set("covers", 1);
-  ST_CHECK_OK(store.WriteSnapshot(doc));
-  // Appends after the checkpoint land in the next generation...
-  ST_CHECK_OK(store.Append(Record(2)));
-  ST_CHECK_OK(store.Sync());
-
-  // ...and recovery sees the snapshot plus BOTH generations (WriteSnapshot
-  // retains history; only Compact drops it).
-  const Result<RecoveredState> state = ReadStateDir(dir);
-  ST_CHECK_OK(state.status());
-  EXPECT_EQ(state->snapshot.GetInt("covers"), 1);
-  ASSERT_EQ(state->tail.size(), 2u);
-  EXPECT_EQ(state->tail[0].GetInt("n"), 1);
-  EXPECT_EQ(state->tail[1].GetInt("n"), 2);
-}
-
-TEST(DurableStoreTest, CompactDropsHistory) {
+TEST(DurableStoreTest, CheckpointDropsCoveredHistory) {
   const std::string dir = FreshDir("store_compact");
   Result<std::unique_ptr<DurableStore>> opened = DurableStore::Open(dir);
   ST_CHECK_OK(opened.status());
@@ -263,30 +240,29 @@ TEST(DurableStoreTest, CompactDropsHistory) {
   ST_CHECK_OK(store.Append(Record(1)));
   json::Value doc = json::Value::Object();
   doc.Set("covers", 1);
-  ST_CHECK_OK(store.Compact(doc));
+  ST_CHECK_OK(store.CheckpointOnline([&doc] { return doc; }, 1).status());
+  // Appends after the checkpoint land in the next generation.
   ST_CHECK_OK(store.Append(Record(2)));
   ST_CHECK_OK(store.Sync());
 
   const Result<RecoveredState> state = ReadStateDir(dir);
   ST_CHECK_OK(state.status());
   EXPECT_EQ(state->snapshot.GetInt("covers"), 1);
-  ASSERT_EQ(state->tail.size(), 1u) << "compacted records must be gone";
+  ASSERT_EQ(state->tail.size(), 1u) << "covered records must be gone";
   EXPECT_EQ(state->tail[0].GetInt("n"), 2);
 }
 
 TEST(DurableStoreTest, TornTailInOlderGenerationIsCorruption) {
   const std::string dir = FreshDir("store_torn_old_gen");
-  {
+  // Each Open starts a fresh generation: two opens leave two generations.
+  for (int n = 1; n <= 2; ++n) {
     Result<std::unique_ptr<DurableStore>> opened = DurableStore::Open(dir);
     ST_CHECK_OK(opened.status());
-    ST_CHECK_OK((*opened)->Append(Record(1)));
-    json::Value doc = json::Value::Object();
-    ST_CHECK_OK((*opened)->WriteSnapshot(doc));  // rotates to generation 2
-    ST_CHECK_OK((*opened)->Append(Record(2)));
+    ST_CHECK_OK((*opened)->Append(Record(n)));
     ST_CHECK_OK((*opened)->Sync());
   }
-  // Tear the tail of the OLDER generation: rotation synced it, so damage
-  // there cannot be a crash artifact.
+  // Tear the tail of the OLDER generation: a newer generation follows it,
+  // so damage there cannot be a crash artifact.
   const Result<std::vector<std::string>> files = ListDirFiles(dir);
   ST_CHECK_OK(files.status());
   std::string oldest;

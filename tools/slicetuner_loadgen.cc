@@ -181,9 +181,6 @@ int main(int argc, char** argv) {
       bench::ParseIntFlag(argc, argv, "--deadline-ms=", 900000);
   if (daemon != nullptr) {
     driver_options.port = [daemon] { return daemon->port(); };
-    // Sessions whose jobs span a restart lose their warm curve cache and
-    // leave the oracle set ("restart-span" taint).
-    driver_options.generation = [daemon] { return daemon->generation(); };
   } else {
     driver_options.port = [fixed_port] { return fixed_port; };
   }
@@ -350,6 +347,7 @@ int main(int argc, char** argv) {
   summary.Set("no_acknowledged_lost", none_lost);
   summary.Set("restart_recovered", restart_recovered);
   summary.Set("oracle_match", oracle_match);
+  summary.Set("oracle_covers_clean", oracle.covers_clean);
   summary.Set("trace_ids_echoed", trace_ids_echoed);
   summary.Set("slo_shed_rate_ok", shed_ok);
   summary.Set("slo_poll_p99_ok", poll_ok);
@@ -361,7 +359,8 @@ int main(int argc, char** argv) {
   ST_CHECK_OK(bench::WriteBenchJson(out, summary));
 
   const bool pass = all_terminal && none_failed && none_lost &&
-                    restart_recovered && oracle_match && trace_ids_echoed &&
+                    restart_recovered && oracle_match &&
+                    oracle.covers_clean && trace_ids_echoed &&
                     shed_ok && poll_ok && submit_ok && clean_shutdown;
   std::printf("SLO: shed %.3f (<= %.2f %s), poll p99 %.1f ms (<= %.0f %s), "
               "submit->done p99 %.1f ms (<= %.0f %s)\n",
