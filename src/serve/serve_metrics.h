@@ -73,8 +73,14 @@ struct ServeMetrics {
   obs::Histogram* round_acquire_ns =
       registry.histogram("serve_round_stage_ns", "stage", "acquire");
 
-  // Startup recovery.
+  // Startup recovery: the total, and its split by phase.
   obs::Gauge* replay_ms = registry.gauge("store_replay_ms");
+  obs::Gauge* replay_open_ms =
+      registry.gauge("store_replay_phase_ms", "phase", "open");
+  obs::Gauge* replay_restore_ms =
+      registry.gauge("store_replay_phase_ms", "phase", "restore");
+  obs::Gauge* replay_checkpoint_ms =
+      registry.gauge("store_replay_phase_ms", "phase", "checkpoint");
 
   static ServeMetrics& Get() {
     static ServeMetrics& metrics = *new ServeMetrics();

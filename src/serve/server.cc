@@ -76,8 +76,17 @@ TuningServer::~TuningServer() {
 }
 
 Status TuningServer::OpenStateDir() {
+  ServeMetrics& metrics = ServeMetrics::Get();
   const uint64_t replay_start_ns = obs::MonotonicNanos();
+  uint64_t phase_start_ns = replay_start_ns;
+  // Sets `gauge` to the milliseconds since the previous phase ended.
+  const auto end_phase = [&phase_start_ns](obs::Gauge* gauge) {
+    const uint64_t now = obs::MonotonicNanos();
+    gauge->Set(static_cast<double>(now - phase_start_ns) / 1e6);
+    phase_start_ns = now;
+  };
   ST_ASSIGN_OR_RETURN(store_, store::DurableStore::Open(options_.state_dir));
+  end_phase(metrics.replay_open_ms);
   // Recovery order matters: materialize sessions from the recovered
   // snapshot + journal tail first, then attach the store (so replay itself
   // journals nothing), then checkpoint — the fresh snapshot covers
@@ -86,8 +95,10 @@ Status TuningServer::OpenStateDir() {
       restore_report_,
       sessions_.RestoreFromState(store_->recovered(), store_.get(),
                                  /*skip_existing=*/false));
+  end_phase(metrics.replay_restore_ms);
   sessions_.AttachStore(store_.get());
   ST_RETURN_NOT_OK(Checkpoint().status());
+  end_phase(metrics.replay_checkpoint_ms);
   store_->SetTailWarnBytes(
       options_.journal_tail_warn_bytes > 0
           ? static_cast<size_t>(options_.journal_tail_warn_bytes)
@@ -100,7 +111,7 @@ Status TuningServer::OpenStateDir() {
         [this] { maintenance_->NotifyJobFinished(); });
     maintenance_->Start();
   }
-  ServeMetrics::Get().replay_ms->Set(
+  metrics.replay_ms->Set(
       static_cast<double>(obs::MonotonicNanos() - replay_start_ns) / 1e6);
   return Status::OK();
 }

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/parallel_for.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/trace_context.h"
@@ -1035,6 +1036,7 @@ json::Value RestoreReport::ToJson() const {
   out.Set("sessions_restored", sessions_restored);
   out.Set("sessions_skipped", sessions_skipped);
   out.Set("sessions_dropped", sessions_dropped);
+  out.Set("sessions_failed", sessions_failed);
   out.Set("warm_slices", warm_slices);
   out.Set("journal_records_applied", journal_records_applied);
   out.Set("tail_truncated", tail_truncated);
@@ -1088,7 +1090,10 @@ Result<RestoreReport> SessionManager::RestoreFromState(
         Result<SessionState> parsed = SessionState::FromJson(entry);
         merged.push_back({parsed.ok() ? std::move(*parsed) : SessionState(),
                           parsed.status()});
+        // An undecodable entry keeps its name and id, so it is claimed,
+        // counted as failed, and its name released below.
         merged.back().state.name = name;
+        merged.back().state.id = static_cast<uint64_t>(entry.GetInt("id"));
       }
     }
   }
@@ -1098,21 +1103,29 @@ Result<RestoreReport> SessionManager::RestoreFromState(
   // names are reused across incarnations (a shed submit is dropped, the
   // retry recreates the name) and ids are monotone: a record of an older
   // incarnation than the entry's is stale, and only a create with a newer
-  // id starts the name over.
+  // id starts the name over. The id allocator resumes past every id the
+  // journal shows, dropped incarnations included, as the live one did.
   for (const json::Value& record : state.tail) {
     const std::string name = record.GetString("session");
     const long long seq = record.GetInt("seq", -1);
     if (name.empty() || seq < 0) continue;
-    const auto slot = index.emplace(name, merged.size());
-    if (slot.second) merged.emplace_back();
-    Folded& entry = merged[slot.first->second];
     const uint64_t id = static_cast<uint64_t>(record.GetInt("id", 0));
-    if (id < entry.state.id) continue;
-    if (id > entry.state.id) {
+    next_id = std::max(next_id, static_cast<long long>(id) + 1);
+    auto found = index.find(name);
+    if (found == index.end() || id > merged[found->second].state.id) {
       if (record.GetString("event") != "create") continue;
-      entry = Folded();
-      entry.state.name = name;
+      // The incarnation registered after every session folded so far, so
+      // it takes the last place, as it did in the live registry. The older
+      // incarnation was never admitted (only a dropped name is recreated):
+      // it folds as dropped even if its drop record did not survive.
+      if (found != index.end()) merged[found->second].state.dropped = true;
+      found = index.insert_or_assign(name, merged.size()).first;
+      merged.emplace_back();
+      merged.back().state.name = name;
+      merged.back().state.id = id;
     }
+    Folded& entry = merged[found->second];
+    if (id < entry.state.id) continue;
     // Covered by the snapshot, or the fold already failed.
     if (static_cast<uint64_t>(seq) < entry.state.seq || !entry.status.ok()) {
       continue;
@@ -1126,74 +1139,75 @@ Result<RestoreReport> SessionManager::RestoreFromState(
   // attaches a retry hint) and a concurrent restore pass leaves it alone —
   // so a submit arriving while `restore` runs under load can neither race
   // the rebuild nor create a duplicate session.
-  std::unordered_set<std::string> claimed;
+  struct Claim {
+    Folded* entry;
+    std::string name;
+    Result<std::unique_ptr<TuningSession>> session =
+        Status::Internal("session was not rebuilt");
+    size_t warm_slices = 0;
+  };
+  std::vector<Claim> claims;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const Folded& entry : merged) {
+    std::unordered_set<std::string> live;
+    if (skip_existing) {
+      for (const auto& session : sessions_) live.insert(session->name());
+    }
+    for (Folded& entry : merged) {
       const std::string& name = entry.state.name;
-      if (entry.state.dropped || entry.state.id == 0) continue;
-      if (restoring_names_.count(name) != 0) continue;
-      bool live = false;
-      for (const auto& session : sessions_) {
-        if (session->name() == name) {
-          live = true;
-          break;
-        }
+      if (entry.state.dropped) {
+        ++report.sessions_dropped;
+        continue;
       }
-      if (skip_existing && live) continue;
+      // The create event never became durable; there is nothing to rebuild.
+      if (entry.state.id == 0) continue;
+      if (restoring_names_.count(name) != 0 || live.count(name) != 0) {
+        // Live already, or another concurrent restore pass owns the name.
+        ++report.sessions_skipped;
+        continue;
+      }
       restoring_names_.insert(name);
-      claimed.insert(name);
+      claims.push_back({&entry, name});
     }
   }
   if (restore_hook_) restore_hook_();
 
-  // Materialize.
-  for (Folded& entry : merged) {
-    const std::string name = entry.state.name;
-    if (entry.state.dropped) {
-      ++report.sessions_dropped;
-      continue;
-    }
-    if (entry.state.id == 0) {
-      // The create event never became durable; there is nothing to rebuild.
-      continue;
-    }
-    if (claimed.count(name) == 0) {
-      // Live already, or another concurrent restore pass owns the name.
-      ++report.sessions_skipped;
-      continue;
-    }
-    size_t warm = 0;
-    Result<std::unique_ptr<TuningSession>> restored =
-        entry.status.ok()
-            ? TuningSession::Restore(std::move(entry.state), store, &warm)
-            : Result<std::unique_ptr<TuningSession>>(entry.status);
-    if (!restored.ok()) {
-      // One undecodable session must not take down recovery of the rest.
-      ST_LOG(Warning) << "could not restore session '" << name
-                      << "': " << restored.status().ToString();
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      next_id_ = std::max(
-          {next_id_, static_cast<uint64_t>(next_id), (*restored)->id() + 1});
-      sessions_.push_back(std::move(*restored));
-      ++stats_.restored;
-      ServeMetrics::Get().sessions->Set(
-          static_cast<double>(sessions_.size()));
-    }
-    ++report.sessions_restored;
-    report.warm_slices += warm;
-  }
-  // An empty recovery still adopts the snapshot's id allocator, and the
+  // Rebuild. Each session's rebuild reads only its own folded state, so
+  // the rebuilds fan out across the shared pool into per-claim slots. The
+  // loop is nestable: the `restore` verb runs it on an event-loop worker
+  // while jobs hold pool workers.
+  ParallelFor(claims.size(), [&claims, store](size_t i) {
+    Claim& claim = claims[i];
+    claim.session =
+        claim.entry->status.ok()
+            ? TuningSession::Restore(std::move(claim.entry->state), store,
+                                     &claim.warm_slices)
+            : Result<std::unique_ptr<TuningSession>>(claim.entry->status);
+  });
+
+  // Publish serially in fold order, so the registry order, the id
+  // allocator and the snapshot bytes are the same at every lane count. An
+  // empty recovery still adopts the snapshot's id allocator, and the
   // claimed names become submittable again (restored ones as live
   // sessions, failed ones as fresh creates).
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    next_id_ = std::max(next_id_, static_cast<uint64_t>(next_id));
-    for (const std::string& name : claimed) restoring_names_.erase(name);
+  std::lock_guard<std::mutex> lock(mu_);
+  for (Claim& claim : claims) {
+    restoring_names_.erase(claim.name);
+    if (!claim.session.ok()) {
+      // One undecodable session must not take down recovery of the rest.
+      ST_LOG(Warning) << "could not restore session '" << claim.name
+                      << "': " << claim.session.status().ToString();
+      ++report.sessions_failed;
+      continue;
+    }
+    next_id_ = std::max(next_id_, (*claim.session)->id() + 1);
+    sessions_.push_back(std::move(*claim.session));
+    ++stats_.restored;
+    ++report.sessions_restored;
+    report.warm_slices += claim.warm_slices;
   }
+  next_id_ = std::max(next_id_, static_cast<uint64_t>(next_id));
+  ServeMetrics::Get().sessions->Set(static_cast<double>(sessions_.size()));
   return report;
 }
 

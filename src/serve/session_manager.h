@@ -285,8 +285,13 @@ struct RestoreReport {
   /// possible via the runtime `restore` verb; startup recovery runs on an
   /// empty registry).
   size_t sessions_skipped = 0;
-  /// Sessions whose journal history ends in a drop event (never admitted).
+  /// Incarnations that were never admitted: their journal history ends in
+  /// a drop event, or a newer incarnation of the name recreated them.
   size_t sessions_dropped = 0;
+  /// Claimed sessions whose fold or rebuild failed (undecodable entry or
+  /// record, spec or cache validation). Logged, left unregistered, and
+  /// their names released for fresh creates.
+  size_t sessions_failed = 0;
   /// Slices that came back with a hot curve cache across all sessions.
   size_t warm_slices = 0;
   size_t journal_records_applied = 0;
@@ -346,7 +351,9 @@ class SessionManager {
   /// entry and the journal tail through Apply (per-session sequence
   /// numbers decide which tail records the snapshot already covers;
   /// records of an older incarnation of a name are skipped), then rebuilds
-  /// each surviving session via TuningSession::Restore. With
+  /// each surviving session via TuningSession::Restore — in parallel on
+  /// the shared pool — and registers them serially in fold order, so the
+  /// result does not depend on the thread count. With
   /// `skip_existing`, names already registered are left untouched (the
   /// runtime `restore` verb); startup recovery passes false on an empty
   /// registry. Restored sessions journal future events through `store`.

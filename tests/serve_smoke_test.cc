@@ -307,6 +307,16 @@ TEST(ServeSmokeTest, WarmRestartAcrossRealProcesses) {
   const json::Value* gauges = durable_metrics.Find("gauges");
   ASSERT_NE(gauges, nullptr);
   EXPECT_TRUE(gauges->Has("store_replay_ms"));
+  // ...split by phase; the phases add up to no more than the total.
+  double phases_ms = 0.0;
+  for (const char* phase : {"open", "restore", "checkpoint"}) {
+    const std::string key =
+        std::string("store_replay_phase_ms{phase=\"") + phase + "\"}";
+    ASSERT_TRUE(gauges->Has(key)) << key << " in " << gauges->Dump();
+    EXPECT_GE(gauges->GetDouble(key), 0.0) << key;
+    phases_ms += gauges->GetDouble(key);
+  }
+  EXPECT_LE(phases_ms, gauges->GetDouble("store_replay_ms"));
 
   EXPECT_EQ(RunCommand(client + " shutdown").exit_code, 0);
   std::string server_tail;
@@ -539,6 +549,7 @@ TEST(ServeSmokeTest, MaintenanceCrashMidCheckpointRestartsAndRecovers) {
   const json::Value* restore = store_stats->Find("startup_restore");
   ASSERT_NE(restore, nullptr) << stats.Dump();
   EXPECT_EQ(restore->GetInt("sessions_restored"), 4) << restore->Dump();
+  EXPECT_EQ(restore->GetInt("sessions_failed", -1), 0) << restore->Dump();
   EXPECT_LE(restore->GetInt("journal_records_applied"), 8)
       << restore->Dump();
   const json::Value* maintenance = store_stats->Find("maintenance");

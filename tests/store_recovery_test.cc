@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/fs_util.h"
+#include "common/string_util.h"
 #include "gtest/gtest.h"
 #include "serve/session_manager.h"
 #include "store/store.h"
@@ -681,6 +682,189 @@ TEST(StoreRecoveryTest, RegisterShedsWhileNameIsMidRestore) {
   EXPECT_EQ(recovered.stats().resumed, 1u);
   ST_CHECK_OK((*resumed)->RunJob());
   EXPECT_EQ((*resumed)->phase(), SessionPhase::kDone);
+}
+
+// Registers a fresh name and drops it, as the server does with a submit
+// admission rejects.
+void RegisterAndDrop(SessionManager* manager, const std::string& name) {
+  const Result<TuningSession*> shed = manager->Register(ColdJob(name));
+  ST_CHECK_OK(shed.status());
+  manager->Drop((*shed)->id());
+}
+
+// `snapshot` (a DurableSnapshot document) with its session entries
+// replaced by `sessions`.
+json::Value WithSessions(const json::Value& snapshot,
+                         std::vector<json::Value> sessions) {
+  json::Value out = json::Value::Object();
+  for (const auto& member : snapshot.members()) {
+    out.Set(member.first, member.second);
+  }
+  json::Value items = json::Value::Array();
+  for (json::Value& entry : sessions) items.Append(std::move(entry));
+  out.Set("sessions", std::move(items));
+  return out;
+}
+
+// Recovery rebuilds sessions in parallel but registers them in fold order.
+// A population of snapshot entries, journal-tail-only sessions, drops, a
+// drop-then-recreate and sessions the crash interrupted restores to the
+// live registry byte for byte, order and id allocator included, and the
+// next append job on a restored session matches its never-restarted twin.
+TEST(StoreRecoveryTest, ManySessionRestoreMatchesLiveInFoldOrder) {
+  const std::string dir = FreshDir("many_sessions");
+  Result<std::unique_ptr<store::DurableStore>> store =
+      store::DurableStore::Open(dir);
+  ST_CHECK_OK(store.status());
+  SessionManager live;
+  live.AttachStore(store->get());
+  const auto job = [](int i) {
+    JobSpec spec = ColdJob(StrFormat("m%02d", i));
+    spec.seed = static_cast<uint64_t>(100 + i);
+    return spec;
+  };
+  // Covered by the snapshot: 16 finished sessions and a dropped submit.
+  for (int i = 0; i < 16; ++i) MustRegisterAndRun(&live, job(i));
+  RegisterAndDrop(&live, "shed0");
+  Checkpoint(store->get(), live);
+  // Journal tail only: a dropped submit whose name is recreated after 16
+  // more finished sessions, an append job on a snapshot-covered session, 4
+  // submits the crash interrupts before they run, and a dropped submit
+  // that takes the last id.
+  RegisterAndDrop(&live, "again");
+  for (int i = 16; i < 32; ++i) MustRegisterAndRun(&live, job(i));
+  MustRegisterAndRun(&live, AppendJob("m03"));
+  MustRegisterAndRun(&live, ColdJob("again"));
+  for (int i = 32; i < 36; ++i) {
+    ST_CHECK_OK(live.Register(job(i)).status());
+  }
+  RegisterAndDrop(&live, "shed1");
+  ST_CHECK_OK((*store)->Sync());
+
+  const Result<store::RecoveredState> recovered = store::ReadStateDir(dir);
+  ST_CHECK_OK(recovered.status());
+  ASSERT_TRUE(recovered->snapshot.is_object());
+  ASSERT_FALSE(recovered->tail.empty());
+  SessionManager restored;
+  const Result<RestoreReport> report =
+      restored.RestoreFromState(*recovered, nullptr, false);
+  ST_CHECK_OK(report.status());
+  EXPECT_EQ(report->sessions_restored, 37u);
+  // The checkpoint retired shed0's records; the tail holds again's first
+  // incarnation and shed1.
+  EXPECT_EQ(report->sessions_dropped, 2u);
+  EXPECT_EQ(report->sessions_failed, 0u);
+  EXPECT_EQ(report->sessions_skipped, 0u);
+
+  // The live registry as a restart brings it back: a session still queued
+  // restores cancelled (InterruptedSessionRestoresCancelledAndResumable).
+  // Rebuilding each entry alone gives the per-session warm slices.
+  const json::Value live_snapshot = live.DurableSnapshot();
+  std::vector<json::Value> expected;
+  size_t warm_sum = 0;
+  for (const json::Value& entry : live_snapshot.Find("sessions")->items()) {
+    Result<SessionState> state = SessionState::FromJson(entry);
+    ST_CHECK_OK(state.status());
+    size_t warm = 0;
+    Result<std::unique_ptr<TuningSession>> alone =
+        TuningSession::Restore(std::move(*state), nullptr, &warm);
+    ST_CHECK_OK(alone.status());
+    warm_sum += warm;
+    expected.push_back((*alone)->DurableState());
+  }
+  ASSERT_EQ(expected.size(), 37u);
+  EXPECT_EQ(expected[36].GetString("name"), "m35");
+  EXPECT_EQ(expected[36].GetString("phase"), "cancelled");
+  EXPECT_EQ(restored.DurableSnapshot().Dump(),
+            WithSessions(live_snapshot, std::move(expected)).Dump());
+  EXPECT_EQ(report->warm_slices, warm_sum);
+  EXPECT_GT(report->warm_slices, 0u);
+
+  // One append job per restored session kind (snapshot entry plus tail,
+  // tail only, recreated) matches the never-restarted twin.
+  for (const char* name : {"m03", "m20", "again"}) {
+    TuningSession* want = live.Find(name);
+    TuningSession* got = restored.Find(name);
+    ASSERT_NE(got, nullptr) << name;
+    MustRegisterAndRun(&live, AppendJob(name));
+    MustRegisterAndRun(&restored, AppendJob(name));
+    EXPECT_EQ(got->last_job_trainings(), want->last_job_trainings()) << name;
+    EXPECT_EQ(CurvesDump(*got), CurvesDump(*want)) << name;
+    EXPECT_EQ(DataHash(*got), DataHash(*want)) << name;
+  }
+}
+
+// Per-session error isolation: one undecodable snapshot entry among many
+// fails alone. Every other session restores, in fold order; the report
+// counts the failure; and the bad name's claim is released, so a submit
+// creates it afresh.
+TEST(StoreRecoveryTest, OneUndecodableSessionDoesNotBlockTheRest) {
+  const std::string dir = FreshDir("one_undecodable");
+  SessionManager live;
+  {
+    Result<std::unique_ptr<store::DurableStore>> store =
+        store::DurableStore::Open(dir);
+    ST_CHECK_OK(store.status());
+    live.AttachStore(store->get());
+    for (int i = 0; i < 12; ++i) {
+      MustRegisterAndRun(&live, ColdJob(StrFormat("u%02d", i)));
+    }
+    Checkpoint(store->get(), live);
+    live.AttachStore(nullptr);
+  }
+  Result<store::RecoveredState> recovered = store::ReadStateDir(dir);
+  ST_CHECK_OK(recovered.status());
+  ASSERT_TRUE(recovered->tail.empty());
+
+  // Corrupt u05: its acquire log names a slice the session does not have.
+  const std::string bad = "u05";
+  json::Value acquire = json::Value::Array();
+  acquire.Append(0);
+  acquire.Append(99);
+  acquire.Append(5);
+  json::Value acquires = json::Value::Array();
+  acquires.Append(std::move(acquire));
+  std::vector<json::Value> entries;
+  std::vector<std::string> want_order;
+  const json::Value* sessions = recovered->snapshot.Find("sessions");
+  for (const json::Value& entry : sessions->items()) {
+    entries.push_back(entry);
+    if (entry.GetString("name") == bad) {
+      entries.back().Set("acquires", acquires);
+    } else {
+      want_order.push_back(entry.GetString("name"));
+    }
+  }
+  recovered->snapshot = WithSessions(recovered->snapshot, std::move(entries));
+
+  SessionManager restored;
+  const Result<RestoreReport> report =
+      restored.RestoreFromState(*recovered, nullptr, false);
+  ST_CHECK_OK(report.status());
+  EXPECT_EQ(report->sessions_restored, 11u);
+  EXPECT_EQ(report->sessions_failed, 1u);
+  EXPECT_EQ(report->ToJson().GetInt("sessions_failed"), 1);
+  EXPECT_GT(report->warm_slices, 0u);
+
+  const json::Value snapshot = restored.DurableSnapshot();
+  std::vector<std::string> got_order;
+  for (const json::Value& entry : snapshot.Find("sessions")->items()) {
+    got_order.push_back(entry.GetString("name"));
+    EXPECT_EQ(entry.Dump(),
+              live.Find(got_order.back())->DurableState().Dump());
+  }
+  EXPECT_EQ(got_order, want_order);
+
+  // The failed name is not registered, and its claim is released: a submit
+  // creates it fresh instead of shedding.
+  EXPECT_EQ(restored.Find(bad), nullptr);
+  bool created = false;
+  const Result<TuningSession*> fresh =
+      restored.Register(ColdJob(bad), &created);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_TRUE(created);
+  ST_CHECK_OK((*fresh)->RunJob());
+  EXPECT_EQ(CurvesDump(**fresh), CurvesDump(*live.Find(bad)));
 }
 
 }  // namespace
