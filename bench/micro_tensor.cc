@@ -1,6 +1,7 @@
 // Tensor-kernel microbenchmark: naive reference vs. cache-blocked (and
 // ParallelFor-threaded) GEMM kernels, the fused bias epilogue, the fused
-// softmax–cross-entropy, and the matrix-at-a-time trainer.
+// softmax–cross-entropy, the matrix-at-a-time trainer, and the logistic
+// head every serve session trains (32x8x2 GEMM, 800x8 logistic regression).
 //
 // Every blocked kernel is validated against its naive reference on the
 // benchmark inputs (bit-identical output is the contract) and the threaded
@@ -13,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <thread>
 
 #include "bench/bench_util.h"
@@ -174,6 +176,48 @@ int main(int argc, char** argv) {
   std::printf("%-12s 5 epochs of 2000x16 MLP(64,64): %.4fs\n", "trainer",
               train_best);
 
+  // Logistic head: the serve model's shape. One 32x8 batch through the
+  // 8->2 logits GEMM (the narrow-output kernel), checked bit for bit
+  // against the naive kernel plus a broadcast pass, then a whole 800x8
+  // logistic-regression training at the serve trainer's settings.
+  Matrix head_x(32, 8), head_w(8, 2), head_b(1, 2);
+  head_x.FillNormal(&rng, 1.0);
+  head_w.FillNormal(&rng, 1.0);
+  head_b.FillNormal(&rng, 1.0);
+  Matrix head_ref, head_out;
+  MatMulNaive(head_x, head_w, &head_ref);
+  AddRowBroadcast(&head_ref, head_b);
+  MatMulBias(head_x, head_w, head_b, &head_out);
+  Check(head_ref.SameShape(head_out) &&
+            std::memcmp(head_ref.data(), head_out.data(),
+                        head_ref.size() * sizeof(double)) == 0,
+        "32x8x2 MatMulBias bits != MatMulNaive+AddRowBroadcast");
+  Matrix logreg_x(800, 8);
+  std::vector<int> logreg_y(logreg_x.rows());
+  for (size_t i = 0; i < logreg_x.rows(); ++i) {
+    const int label = static_cast<int>(i % 2);
+    for (size_t d = 0; d < logreg_x.cols(); ++d) {
+      logreg_x(i, d) = rng.Normal(label == 0 ? -0.5 : 0.5, 1.0);
+    }
+    logreg_y[i] = label;
+  }
+  double logreg_best = 1e300;
+  for (int r = 0; r < repeats * 10; ++r) {
+    Rng model_rng(17);
+    Model model = BuildModel(ModelSpec{8, 2, {}, 0, 32}, &model_rng);
+    TrainerOptions opts;
+    opts.epochs = 8;
+    opts.batch_size = 32;
+    opts.learning_rate = 0.05;
+    opts.seed = 19;
+    Stopwatch t;
+    const auto log = Train(&model, logreg_x, logreg_y, opts);
+    logreg_best = std::min(logreg_best, t.ElapsedSeconds());
+    Check(log.ok(), "logistic-regression trainer returned an error");
+  }
+  std::printf("%-12s 8 epochs of 800x8 logistic regression: %.6fs\n",
+              "logistic", logreg_best);
+
   const double gemm_speedup = gemm.naive_seconds / gemm.threaded_seconds;
   const std::string json_path = bench::ResultsDir() + "/BENCH_tensor.json";
   ST_CHECK_OK(bench::WriteBenchJson(
@@ -200,6 +244,7 @@ int main(int argc, char** argv) {
        {"fused_bias_seconds", FormatDouble(fused_best, 4)},
        {"softmax_xent_seconds", FormatDouble(loss_best, 5)},
        {"trainer_seconds", FormatDouble(train_best, 4)},
+       {"trainer_logreg_seconds", FormatDouble(logreg_best, 6)},
        {"kernels_bit_identical", g_ok ? "true" : "false"}}));
   std::printf("Summary written to %s\n", json_path.c_str());
   if (!g_ok) {

@@ -48,21 +48,24 @@ struct MeasuredRun {
   std::vector<double> slice_sizes;   // subset size per slice
   std::vector<double> slice_losses;  // validation loss per slice
   bool ok = false;
+  double seconds = 0.0;  // build + train + evaluate
 };
 
 // Trains one model on `subset` and evaluates per-slice validation losses.
 MeasuredRun TrainAndMeasure(const Dataset& subset, const Dataset& validation,
                             int num_slices, const ModelSpec& model_spec,
                             TrainerOptions trainer, uint64_t seed) {
+  Stopwatch timer;
   MeasuredRun run;
   Rng rng(seed);
   Model model = BuildModel(model_spec, &rng);
   trainer.seed = rng();
   Result<TrainLog> log =
       Train(&model, subset.FeatureMatrix(), subset.Labels(), trainer);
-  if (!log.ok()) return run;
-  Result<SliceMetrics> metrics =
-      EvaluatePerSlice(&model, validation, num_slices);
+  const Result<SliceMetrics> metrics =
+      log.ok() ? EvaluatePerSlice(&model, validation, num_slices)
+               : Result<SliceMetrics>(log.status());
+  run.seconds = timer.ElapsedSeconds();
   if (!metrics.ok()) return run;
   const std::vector<size_t> sizes = subset.SliceSizes(num_slices);
   run.slice_sizes.assign(sizes.begin(), sizes.end());
@@ -142,6 +145,7 @@ Result<CurveEstimationResult> EstimateLearningCurves(
         },
         parallel_options);
     for (const MeasuredRun& run : runs) {
+      result.train_seconds += run.seconds;
       if (!run.ok) continue;
       ++result.model_trainings;
       for (int s = 0; s < num_slices; ++s) {
@@ -199,6 +203,7 @@ Result<CurveEstimationResult> EstimateLearningCurves(
         },
         parallel_options);
     for (size_t j = 0; j < jobs.size(); ++j) {
+      result.train_seconds += runs[j].seconds;
       if (!runs[j].ok) continue;
       ++result.model_trainings;
       const size_t idx = static_cast<size_t>(jobs[j].slice);
@@ -212,6 +217,7 @@ Result<CurveEstimationResult> EstimateLearningCurves(
   // Fit a curve per slice; weight points by subset size and average
   // bootstrap draws (Section 4.1). Fits are cheap relative to training, so
   // they stay on the calling thread.
+  const Stopwatch fit_timer;
   result.slices.resize(static_cast<size_t>(num_slices));
   for (int s = 0; s < num_slices; ++s) {
     const size_t idx = static_cast<size_t>(s);
@@ -236,6 +242,7 @@ Result<CurveEstimationResult> EstimateLearningCurves(
       result.slices[idx] = DefaultCurve(points[idx]);
     }
   }
+  result.fit_seconds = fit_timer.ElapsedSeconds();
   result.wall_seconds = timer.ElapsedSeconds();
   return result;
 }

@@ -59,6 +59,12 @@ struct CurveEstimationResult {
   std::vector<SliceCurveEstimate> slices;
   int model_trainings = 0;
   double wall_seconds = 0.0;
+  /// Subset-model time (build, train, per-slice validation) summed over
+  /// every training; trainings run in parallel lanes, so this can exceed
+  /// wall_seconds.
+  double train_seconds = 0.0;
+  /// Time spent fitting the per-slice power-law curves.
+  double fit_seconds = 0.0;
 };
 
 /// Estimates the learning curve of every slice in [0, num_slices).

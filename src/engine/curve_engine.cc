@@ -36,6 +36,17 @@ struct EngineMetrics {
       obs::MetricsRegistry::Global().gauge("engine_cache_hit_ratio");
   obs::Histogram* estimate_ns =
       obs::MetricsRegistry::Global().histogram("engine_estimate_ns");
+  obs::Histogram* train_ns =
+      obs::MetricsRegistry::Global().histogram("engine_train_ns");
+  obs::Histogram* fit_ns =
+      obs::MetricsRegistry::Global().histogram("engine_fit_ns");
+
+  // Splits an estimation that trained into subset-model training and
+  // curve fitting.
+  void RecordTrainFit(const CurveEstimationResult& result) {
+    train_ns->Record(static_cast<uint64_t>(result.train_seconds * 1e9));
+    fit_ns->Record(static_cast<uint64_t>(result.fit_seconds * 1e9));
+  }
 
   // Cache hit ratio = slices served warm / slices considered, across the
   // process lifetime.
@@ -218,8 +229,12 @@ Result<CurveEstimationResult> CurveEstimationEngine::Estimate(
       !options.slices_to_estimate.empty()) {
     ++stats_.full_runs;
     Metrics().full_runs->Add();
-    return EstimateLearningCurves(train, validation, num_slices, model_spec,
-                                  trainer, effective);
+    ST_ASSIGN_OR_RETURN(
+        CurveEstimationResult fresh,
+        EstimateLearningCurves(train, validation, num_slices, model_spec,
+                               trainer, effective));
+    Metrics().RecordTrainFit(fresh);
+    return fresh;
   }
 
   const size_t n = static_cast<size_t>(num_slices);
@@ -268,6 +283,7 @@ Result<CurveEstimationResult> CurveEstimationEngine::Estimate(
         CurveEstimationResult fresh,
         EstimateLearningCurves(train, validation, num_slices, model_spec,
                                trainer, partial));
+    Metrics().RecordTrainFit(fresh);
     std::vector<char> is_stale(n, 0);
     for (int s : stale) is_stale[static_cast<size_t>(s)] = 1;
     for (size_t s = 0; s < n; ++s) {
@@ -301,6 +317,7 @@ Result<CurveEstimationResult> CurveEstimationEngine::Estimate(
       CurveEstimationResult fresh,
       EstimateLearningCurves(train, validation, num_slices, model_spec,
                              trainer, effective));
+  Metrics().RecordTrainFit(fresh);
   for (size_t s = 0; s < n; ++s) {
     // Unreliable (failed-fit) curves stay uncached so the next call retries
     // them with that round's fresh seed.

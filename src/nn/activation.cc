@@ -16,6 +16,7 @@ void ReluLayer::Forward(const Matrix& x, Matrix* y) {
 }
 
 void ReluLayer::Backward(const Matrix& grad_y, Matrix* grad_x) {
+  if (grad_x == nullptr) return;  // no parameters
   *grad_x = grad_y;
   const double* in = input_.data();
   double* g = grad_x->data();
@@ -38,6 +39,7 @@ void LeakyReluLayer::Forward(const Matrix& x, Matrix* y) {
 }
 
 void LeakyReluLayer::Backward(const Matrix& grad_y, Matrix* grad_x) {
+  if (grad_x == nullptr) return;  // no parameters
   *grad_x = grad_y;
   const double* in = input_.data();
   double* g = grad_x->data();
@@ -64,6 +66,7 @@ void SigmoidLayer::Forward(const Matrix& x, Matrix* y) {
 }
 
 void SigmoidLayer::Backward(const Matrix& grad_y, Matrix* grad_x) {
+  if (grad_x == nullptr) return;  // no parameters
   *grad_x = grad_y;
   const double* out = output_.data();
   double* g = grad_x->data();
@@ -84,6 +87,7 @@ void TanhLayer::Forward(const Matrix& x, Matrix* y) {
 }
 
 void TanhLayer::Backward(const Matrix& grad_y, Matrix* grad_x) {
+  if (grad_x == nullptr) return;  // no parameters
   *grad_x = grad_y;
   const double* out = output_.data();
   double* g = grad_x->data();

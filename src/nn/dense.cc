@@ -41,8 +41,9 @@ void DenseLayer::Forward(const Matrix& x, Matrix* y) {
 }
 
 void DenseLayer::Backward(const Matrix& grad_y, Matrix* grad_x) {
-  // dW = x^T * dPre, db = column-sum(dPre), dX = dPre * W^T, where under
-  // kRelu dPre = dY masked by pre > 0 and otherwise dPre = dY.
+  // dW = x^T * dPre, db = column-sum(dPre), dX = dPre * W^T (skipped when
+  // grad_x is null), where under kRelu dPre = dY masked by pre > 0 and
+  // otherwise dPre = dY.
   const Matrix* grad_pre = &grad_y;
   if (activation_ == DenseActivation::kRelu) {
     if (!grad_pre_.SameShape(grad_y)) {
@@ -58,7 +59,7 @@ void DenseLayer::Backward(const Matrix& grad_y, Matrix* grad_x) {
   }
   MatMulTransposedA(input_, *grad_pre, &grad_weights_);
   ColumnSum(*grad_pre, &grad_bias_);
-  MatMulTransposedB(*grad_pre, weights_, grad_x);
+  if (grad_x != nullptr) MatMulTransposedB(*grad_pre, weights_, grad_x);
 }
 
 std::string DenseLayer::name() const {

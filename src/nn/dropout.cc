@@ -25,6 +25,7 @@ void DropoutLayer::Forward(const Matrix& x, Matrix* y) {
 }
 
 void DropoutLayer::Backward(const Matrix& grad_y, Matrix* grad_x) {
+  if (grad_x == nullptr) return;  // no parameters
   *grad_x = grad_y;
   if (mask_.empty()) return;
   const double* m = mask_.data();

@@ -24,7 +24,10 @@ class Layer {
   virtual void Forward(const Matrix& x, Matrix* y) = 0;
 
   /// Given dL/dy, accumulates parameter gradients and computes dL/dx.
-  /// Must be called after Forward on the same batch.
+  /// `grad_x == nullptr` asks for parameter gradients only (the model's
+  /// input layer, whose dL/dx nobody reads): layers then skip the dL/dx
+  /// work, and the parameter gradients are bit-identical to a call that
+  /// computes it. Must be called after Forward on the same batch.
   virtual void Backward(const Matrix& grad_y, Matrix* grad_x) = 0;
 
   /// Trainable parameters (possibly empty for stateless layers).

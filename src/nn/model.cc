@@ -25,18 +25,18 @@ void Model::Add(std::unique_ptr<Layer> layer) {
   layers_.push_back(std::move(layer));
 }
 
-void Model::ForwardLogits(const Matrix& x, Matrix* logits) {
-  if (layers_.empty()) {
-    *logits = x;
-    return;
-  }
+const Matrix& Model::RunForward(const Matrix& x) {
   activations_.resize(layers_.size());
   const Matrix* cur = &x;
   for (size_t i = 0; i < layers_.size(); ++i) {
     layers_[i]->Forward(*cur, &activations_[i]);
     cur = &activations_[i];
   }
-  *logits = activations_.back();
+  return *cur;
+}
+
+void Model::ForwardLogits(const Matrix& x, Matrix* logits) {
+  *logits = RunForward(x);
 }
 
 void Model::Predict(const Matrix& x, Matrix* probabilities) {
@@ -45,14 +45,14 @@ void Model::Predict(const Matrix& x, Matrix* probabilities) {
 }
 
 double Model::ForwardBackward(const Matrix& x, const std::vector<int>& labels) {
-  Matrix logits;
-  ForwardLogits(x, &logits);
-  const double loss = loss_.Forward(logits, labels);
+  // The loss reads the last activation in place: no logits copy.
+  const double loss = loss_.Forward(RunForward(x), labels);
   loss_.Backward(&grad_a_);
   Matrix* grad_in = &grad_a_;
   Matrix* grad_out = &grad_b_;
   for (size_t i = layers_.size(); i-- > 0;) {
-    layers_[i]->Backward(*grad_in, grad_out);
+    // Nobody reads dL/dx of the input layer: parameter gradients only.
+    layers_[i]->Backward(*grad_in, i == 0 ? nullptr : grad_out);
     std::swap(grad_in, grad_out);
   }
   return loss;

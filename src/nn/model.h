@@ -60,6 +60,10 @@ class Model {
   std::string ToString() const;
 
  private:
+  /// Runs every layer on `x`; returns the last activation (or `x` itself
+  /// for a model without layers). Valid until the next forward pass.
+  const Matrix& RunForward(const Matrix& x);
+
   std::vector<std::unique_ptr<Layer>> layers_;
   SoftmaxCrossEntropy loss_;
   // Scratch buffers reused across calls to avoid re-allocation.

@@ -19,7 +19,7 @@ void ResidualBlock::Backward(const Matrix& grad_y, Matrix* grad_x) {
   fc2_.Backward(grad_y, &grad_hidden_);
   fc1_.Backward(grad_hidden_, grad_x);
   // Skip path adds the incoming gradient.
-  *grad_x += grad_y;
+  if (grad_x != nullptr) *grad_x += grad_y;
 }
 
 std::vector<Matrix*> ResidualBlock::Params() {

@@ -72,6 +72,10 @@ struct ServeMetrics {
       registry.histogram("serve_round_stage_ns", "stage", "plan");
   obs::Histogram* round_acquire_ns =
       registry.histogram("serve_round_stage_ns", "stage", "acquire");
+  // The closing estimate after a curve-based job's last round; not a round
+  // stage, so it has its own histogram.
+  obs::Histogram* closing_estimate_ns =
+      registry.histogram("serve_closing_estimate_ns");
 
   // Startup recovery: the total, and its split by phase.
   obs::Gauge* replay_ms = registry.gauge("store_replay_ms");

@@ -589,9 +589,11 @@ Status TuningSession::RunJob(const std::function<void()>& on_resolved) {
     }
     // The finish event carries only the cache entries this job changed.
     CommitLocked(FinishEvent(next, state_));
+    const uint64_t closing_ns = job_.closing_ns;
     job_ = Progress();
     // Fold the job's round spans into the span tree the done frame (and
-    // poll) hand back: the per-round Spans become children of the job.
+    // poll) hand back: the per-round Spans become children of the job, and
+    // the closing estimate (not a round) is its own closing_ms.
     json::Value tree = json::Value::Object();
     tree.Set("name", "job");
     tree.Set("trace_id", trace::FormatTraceId(
@@ -604,6 +606,7 @@ Status TuningSession::RunJob(const std::function<void()>& on_resolved) {
     }
     job_round_spans_.clear();
     tree.Set("rounds", std::move(rounds));
+    tree.Set("closing_ms", static_cast<double>(closing_ns) / 1e6);
     last_trace_tree_ = std::move(tree);
     if (on_resolved) on_resolved();
     phase_cv_.notify_all();
@@ -800,12 +803,14 @@ Status TuningSession::RunRounds(const JobSpec& job) {
   // rows to one slice finds every *other* slice already cached and rides
   // the engine's partial refit instead of a cold estimation.
   if (curve_based) {
-    CurveEstimationResult curves;
-    {
-      obs::ScopedTimer estimate_timer(ServeMetrics::Get().round_estimate_ns);
-      ST_ASSIGN_OR_RETURN(curves, tuner_->EstimateCurves());
-    }
+    const uint64_t closing_start = obs::MonotonicNanos();
+    const Result<CurveEstimationResult> closing = tuner_->EstimateCurves();
+    const uint64_t closing_ns = obs::MonotonicNanos() - closing_start;
+    ServeMetrics::Get().closing_estimate_ns->Record(closing_ns);
+    ST_RETURN_NOT_OK(closing.status());
+    const CurveEstimationResult& curves = *closing;
     std::lock_guard<std::mutex> lock(mu_);
+    job_.closing_ns = closing_ns;
     job_.trainings += curves.model_trainings;
     for (const SliceCurveEstimate& slice : curves.slices) {
       job_.curve_b.push_back(slice.curve.b);

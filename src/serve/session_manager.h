@@ -252,6 +252,7 @@ class TuningSession {
     long long trainings = 0;
     std::vector<double> curve_b;  // closing curves, once estimated
     std::vector<double> curve_a;
+    uint64_t closing_ns = 0;  // wall time of the closing estimate
   };
   Progress job_;
   long long rows_ = 0;  // the tuner's training rows (guarded by mu_)

@@ -45,14 +45,18 @@ std::atomic<int> g_tensor_op_threads{0};
 // Runs fn(i0, i1) over row blocks of [0, m). Serial when the work is small,
 // the caller opted out, or this thread is already inside an engine-level
 // ParallelFor lane (nested fan-out would only churn the shared pool's queue).
-void RunRowBlocks(size_t m, double mul_count,
-                  const std::function<void(size_t, size_t)>& fn) {
+// A template on the functor: the serial branch calls fn directly, so the
+// small GEMMs of a training step never build (and heap-allocate) a
+// std::function; only the parallel branch type-erases it for ParallelFor.
+template <typename Fn>
+void RunRowBlocks(size_t m, double mul_count, const Fn& fn) {
   const size_t blocks = (m + kRowBlock - 1) / kRowBlock;
+  if (blocks <= 1 || mul_count < kParallelMinMuls) {
+    fn(0, m);
+    return;
+  }
   const int threads = GetTensorOpThreads();
-  const bool parallel = blocks > 1 && threads != 1 &&
-                        ParallelForDepth() == 0 &&
-                        mul_count >= kParallelMinMuls;
-  if (!parallel) {
+  if (threads == 1 || ParallelForDepth() != 0) {
     fn(0, m);
     return;
   }
@@ -67,15 +71,76 @@ void RunRowBlocks(size_t m, double mul_count,
       options);
 }
 
+// Rows [i0, i1) of out = a * b (+ bias) for a narrow output, N = b.cols()
+// <= 4 (the logits head). Each output element lives in a register
+// accumulator: it starts at 0, adds k in ascending order and adds the bias
+// last — the same per-element order as the wide kernel below and the naive
+// kernel, so the bits match. Two rows advance together so their
+// independent accumulation chains overlap.
+template <size_t N>
+inline void GemmNarrowRows(const Matrix& a, const Matrix& b,
+                           const Matrix* bias, Matrix* out, size_t i0,
+                           size_t i1) {
+  const size_t depth = a.cols();
+  size_t i = i0;
+  for (; i + 2 <= i1; i += 2) {
+    const double* a0 = a.row(i);
+    const double* a1 = a.row(i + 1);
+    double acc0[N] = {};
+    double acc1[N] = {};
+    for (size_t kk = 0; kk < depth; ++kk) {
+      const double* brow = b.row(kk);
+      const double av0 = a0[kk];
+      const double av1 = a1[kk];
+      for (size_t j = 0; j < N; ++j) {
+        acc0[j] += av0 * brow[j];
+        acc1[j] += av1 * brow[j];
+      }
+    }
+    double* c0 = out->row(i);
+    double* c1 = out->row(i + 1);
+    for (size_t j = 0; j < N; ++j) {
+      c0[j] = bias != nullptr ? acc0[j] + bias->data()[j] : acc0[j];
+      c1[j] = bias != nullptr ? acc1[j] + bias->data()[j] : acc1[j];
+    }
+  }
+  for (; i < i1; ++i) {
+    const double* arow = a.row(i);
+    double acc[N] = {};
+    for (size_t kk = 0; kk < depth; ++kk) {
+      const double* brow = b.row(kk);
+      const double av = arow[kk];
+      for (size_t j = 0; j < N; ++j) acc[j] += av * brow[j];
+    }
+    double* crow = out->row(i);
+    for (size_t j = 0; j < N; ++j) {
+      crow[j] = bias != nullptr ? acc[j] + bias->data()[j] : acc[j];
+    }
+  }
+}
+
 // Rows [i0, i1) of out = a * b (+ optional bias epilogue). Per output
 // element the accumulation order is k strictly ascending with one
 // accumulator chain — the same order as the naive kernel — regardless of
-// how the jc/kc tiles fall.
+// how the jc/kc tiles fall. Outputs at most 4 wide take the register-
+// accumulator kernel above instead of the wide j loop.
 ST_KERNEL_CLONES
 void GemmRowBlock(const Matrix& a, const Matrix& b, const Matrix* bias,
                   Matrix* out, size_t i0, size_t i1) {
   const size_t depth = a.cols();
   const size_t n = b.cols();
+  switch (n) {
+    case 1:
+      return GemmNarrowRows<1>(a, b, bias, out, i0, i1);
+    case 2:
+      return GemmNarrowRows<2>(a, b, bias, out, i0, i1);
+    case 3:
+      return GemmNarrowRows<3>(a, b, bias, out, i0, i1);
+    case 4:
+      return GemmNarrowRows<4>(a, b, bias, out, i0, i1);
+    default:
+      break;
+  }
   for (size_t i = i0; i < i1; ++i) {
     double* row = out->row(i);
     std::fill(row, row + n, 0.0);
@@ -248,6 +313,41 @@ void GemmTBRowBlock(const Matrix& a, const Matrix& b, Matrix* out, size_t i0,
   }
 }
 
+// Rows [i0, i1) of out = a^T * b for a narrow output, N = b.cols() <= 4
+// (the logits head's weight gradient). A kIT x N tile of register
+// accumulators, each starting at 0 and adding kk in ascending order — the
+// per-element order of the blocked and naive kernels.
+template <size_t N>
+inline void GemmTANarrowRows(const Matrix& a, const Matrix& b, Matrix* out,
+                             size_t i0, size_t i1) {
+  const size_t depth = a.rows();
+  size_t i = i0;
+  for (; i + kIT <= i1; i += kIT) {
+    double acc[kIT][N] = {};
+    for (size_t kk = 0; kk < depth; ++kk) {
+      const double* arow = a.row(kk) + i;
+      const double* brow = b.row(kk);
+      for (size_t r = 0; r < kIT; ++r) {
+        for (size_t j = 0; j < N; ++j) acc[r][j] += arow[r] * brow[j];
+      }
+    }
+    for (size_t r = 0; r < kIT; ++r) {
+      double* crow = out->row(i + r);
+      for (size_t j = 0; j < N; ++j) crow[j] = acc[r][j];
+    }
+  }
+  for (; i < i1; ++i) {
+    double acc[N] = {};
+    for (size_t kk = 0; kk < depth; ++kk) {
+      const double av = a.row(kk)[i];
+      const double* brow = b.row(kk);
+      for (size_t j = 0; j < N; ++j) acc[j] += av * brow[j];
+    }
+    double* crow = out->row(i);
+    for (size_t j = 0; j < N; ++j) crow[j] = acc[j];
+  }
+}
+
 // Rows [i0, i1) of out = a^T * b (a: K x m, b: K x n, out: m x n). The
 // reduction runs over the K rows of a and b; per output element it is kk
 // strictly ascending, matching the naive rank-1-update kernel.
@@ -256,6 +356,18 @@ void GemmTARowBlock(const Matrix& a, const Matrix& b, Matrix* out, size_t i0,
                     size_t i1) {
   const size_t depth = a.rows();
   const size_t n = b.cols();
+  switch (n) {
+    case 1:
+      return GemmTANarrowRows<1>(a, b, out, i0, i1);
+    case 2:
+      return GemmTANarrowRows<2>(a, b, out, i0, i1);
+    case 3:
+      return GemmTANarrowRows<3>(a, b, out, i0, i1);
+    case 4:
+      return GemmTANarrowRows<4>(a, b, out, i0, i1);
+    default:
+      break;
+  }
   for (size_t i = i0; i < i1; ++i) {
     double* row = out->row(i);
     std::fill(row, row + n, 0.0);

@@ -16,6 +16,7 @@
 #include "data/synthetic.h"
 #include "engine/curve_engine.h"
 #include "engine/experiment_runner.h"
+#include "obs/metrics.h"
 
 namespace slicetuner {
 namespace engine {
@@ -140,6 +141,33 @@ TEST(CurveEngineTest, UnchangedDataIsServedFromCacheWithZeroTrainings) {
   }
   EXPECT_EQ(engine.stats().served_from_cache, 1u);
   EXPECT_GT(engine.stats().trainings_saved, 0);
+}
+
+TEST(CurveEngineTest, TrainAndFitTimesAreRecordedOnlyWhenTraining) {
+  obs::Histogram* train_ns =
+      obs::MetricsRegistry::Global().histogram("engine_train_ns");
+  obs::Histogram* fit_ns =
+      obs::MetricsRegistry::Global().histogram("engine_fit_ns");
+  CurveFixture f;
+  CurveEstimationEngine engine;
+  const uint64_t train_before = train_ns->Snapshot().count;
+  const uint64_t fit_before = fit_ns->Snapshot().count;
+
+  const auto cold = f.Estimate(&engine, f.FastOptions());
+  ASSERT_TRUE(cold.ok());
+  EXPECT_GT(cold->train_seconds, 0.0);
+  EXPECT_GT(cold->fit_seconds, 0.0);
+  EXPECT_EQ(train_ns->Snapshot().count, train_before + 1);
+  EXPECT_EQ(fit_ns->Snapshot().count, fit_before + 1);
+
+  // Fully cached: nothing trains, nothing fits, nothing is recorded.
+  const auto cached = f.Estimate(&engine, f.FastOptions());
+  ASSERT_TRUE(cached.ok());
+  EXPECT_EQ(cached->model_trainings, 0);
+  EXPECT_EQ(cached->train_seconds, 0.0);
+  EXPECT_EQ(cached->fit_seconds, 0.0);
+  EXPECT_EQ(train_ns->Snapshot().count, train_before + 1);
+  EXPECT_EQ(fit_ns->Snapshot().count, fit_before + 1);
 }
 
 TEST(CurveEngineTest, AcquisitionInvalidatesOnlyTouchedSlices) {

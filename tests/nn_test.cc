@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/math_util.h"
 #include "common/random.h"
 #include "nn/activation.h"
 #include "nn/dense.h"
+#include "nn/dropout.h"
 #include "nn/loss.h"
 #include "nn/model.h"
 #include "nn/optimizer.h"
@@ -74,6 +76,40 @@ void CheckParamGradients(Layer* layer, const Matrix& x, double tol) {
       EXPECT_NEAR(grads[p]->data()[i], numeric, tol)
           << "param " << p << " index " << i;
     }
+  }
+}
+
+// Same shape and the same bit pattern in every entry (so +0 != -0).
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Backward(grad_y, nullptr) asks for parameter gradients only: they must be
+// bit-identical to the ones a full backward (which also forms dL/dx)
+// leaves behind.
+void CheckParamOnlyBackward(const Layer& prototype, const Matrix& x,
+                            Rng* rng) {
+  std::unique_ptr<Layer> full = prototype.Clone();
+  std::unique_ptr<Layer> params_only = prototype.Clone();
+  Matrix y_full, y_params_only;
+  full->Forward(x, &y_full);
+  params_only->Forward(x, &y_params_only);
+  ASSERT_TRUE(SameBits(y_full, y_params_only));
+  Matrix grad_y(y_full.rows(), y_full.cols());
+  grad_y.FillNormal(rng, 1.0);
+
+  Matrix grad_x;
+  full->Backward(grad_y, &grad_x);
+  params_only->Backward(grad_y, nullptr);
+  EXPECT_EQ(grad_x.rows(), x.rows());
+  EXPECT_EQ(grad_x.cols(), x.cols());
+  const std::vector<Matrix*> want = full->Grads();
+  const std::vector<Matrix*> got = params_only->Grads();
+  ASSERT_EQ(want.size(), got.size()) << prototype.name();
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(SameBits(*want[i], *got[i]))
+        << prototype.name() << " grad " << i;
   }
 }
 
@@ -238,6 +274,25 @@ TEST(ResidualTest, HasFourParamTensors) {
   EXPECT_EQ(block.Grads().size(), 4u);
 }
 
+// ------------------------------------------- parameter-only backward
+
+TEST(ParamOnlyBackwardTest, MatchesFullBackwardForEveryLayer) {
+  Rng rng(40);
+  Matrix x(9, 6);
+  x.FillNormal(&rng, 1.0);
+  CheckParamOnlyBackward(DenseLayer(6, 3, &rng), x, &rng);
+  CheckParamOnlyBackward(
+      DenseLayer(6, 5, &rng, Init::kHe, DenseActivation::kRelu), x, &rng);
+  CheckParamOnlyBackward(ResidualBlock(6, 4, &rng), x, &rng);
+  DropoutLayer dropout(0.4, 3);
+  dropout.set_training(true);
+  CheckParamOnlyBackward(dropout, x, &rng);
+  CheckParamOnlyBackward(ReluLayer(), x, &rng);
+  CheckParamOnlyBackward(LeakyReluLayer(0.1), x, &rng);
+  CheckParamOnlyBackward(SigmoidLayer(), x, &rng);
+  CheckParamOnlyBackward(TanhLayer(), x, &rng);
+}
+
 // -------------------------------------------------------------------- Loss
 
 TEST(LossTest, UniformLogitsGiveLogC) {
@@ -296,18 +351,11 @@ TEST(LossTest, LogLossAndAccuracyHelpers) {
   EXPECT_EQ(Accuracy(probs, {1, 0}), 0.0);
 }
 
-TEST(LossTest, FusedForwardBackwardMatchesUnfusedSequence) {
-  // The fused softmax–cross-entropy must agree bit for bit with the
-  // unfused sequence it replaced: copy logits, SoftmaxRows, NLL loop, then
-  // (probs - onehot) / batch in three separate passes.
-  Rng rng(30);
-  Matrix logits(17, 5);
-  logits.FillNormal(&rng, 2.0);
-  std::vector<int> labels(logits.rows());
-  for (size_t i = 0; i < labels.size(); ++i) {
-    labels[i] = static_cast<int>(rng.UniformInt(uint64_t{5}));
-  }
-
+// The fused softmax–cross-entropy must agree bit for bit with the unfused
+// sequence it replaced: copy logits, SoftmaxRows, NLL loop, then
+// (probs - onehot) / batch in three separate passes.
+void ExpectFusedMatchesUnfused(const Matrix& logits,
+                               const std::vector<int>& labels) {
   Matrix ref_probs = logits;
   SoftmaxRows(&ref_probs);
   double ref_loss = 0.0;
@@ -325,9 +373,35 @@ TEST(LossTest, FusedForwardBackwardMatchesUnfusedSequence) {
   const double fused_loss = loss.Forward(logits, labels);
   Matrix fused_grad;
   loss.Backward(&fused_grad);
-  EXPECT_EQ(fused_loss, ref_loss);
-  EXPECT_TRUE(loss.probabilities() == ref_probs);
-  EXPECT_TRUE(fused_grad == ref_grad);
+  EXPECT_EQ(std::memcmp(&fused_loss, &ref_loss, sizeof(double)), 0)
+      << fused_loss << " vs " << ref_loss;
+  EXPECT_TRUE(SameBits(loss.probabilities(), ref_probs));
+  EXPECT_TRUE(SameBits(fused_grad, ref_grad));
+}
+
+TEST(LossTest, FusedForwardBackwardMatchesUnfusedSequence) {
+  Rng rng(30);
+  Matrix logits(17, 5);
+  logits.FillNormal(&rng, 2.0);
+  std::vector<int> labels(logits.rows());
+  for (size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<int>(rng.UniformInt(uint64_t{5}));
+  }
+  ExpectFusedMatchesUnfused(logits, labels);
+}
+
+TEST(LossTest, FusedMatchesUnfusedOnEdgeLogits) {
+  // Tied maxima: every tied entry takes the exp(0) == 1 shortcut.
+  ExpectFusedMatchesUnfused(
+      Matrix{{1.5, 1.5}, {0.0, 0.0}, {-2.0, 3.0}, {3.0, 3.0}}, {0, 1, 1, 0});
+  ExpectFusedMatchesUnfused(Matrix{{0.25, -1.0, 0.25}, {-0.0, 0.0, -7.0}},
+                            {2, 0});
+  // +-1e3 logits: the losing class underflows to probability 0.
+  ExpectFusedMatchesUnfused(
+      Matrix{{1e3, -1e3}, {-1e3, 1e3}, {1e3, 1e3}, {-1e3, -1e3}},
+      {1, 1, 0, 1});
+  // One column: every entry is its row's maximum.
+  ExpectFusedMatchesUnfused(Matrix{{0.3}, {-4.0}, {1e3}}, {0, 0, 0});
 }
 
 TEST(LossTest, EmptyLabelsAreZero) {

@@ -293,6 +293,63 @@ TEST(SessionTest, ResubmitWithAppendedRowsRidesPartialRefit) {
   EXPECT_GT(cache->GetInt("trainings_saved"), 0);
 }
 
+// Closing curve values of a session snapshot as IEEE-754 bit patterns.
+std::vector<std::string> CurveBits(const json::Value& snapshot,
+                                   const char* key) {
+  std::vector<std::string> out;
+  const json::Value* curves = snapshot.Find("curves");
+  if (curves == nullptr || curves->Find(key) == nullptr) return out;
+  for (const json::Value& v : curves->Find(key)->items()) {
+    const double d = v.number_value();
+    uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(bits));
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(bits));
+    out.emplace_back(hex);
+  }
+  return out;
+}
+
+// Pins the serve path's answers bit for bit: a cold moderate job and an
+// append_rows resubmission of the same session must close with exactly
+// these curves. Any change to the training kernels, the loss or the
+// estimation order that moves a single bit of the serve model fails here.
+TEST(SessionTest, ServeSessionClosingCurvesArePinned) {
+  SessionManager manager;
+  JobSpec job = SmallJob("pinned", /*rounds=*/2);
+  job.rows_per_slice = 200;
+  job.seed = 7;
+  const Result<TuningSession*> session = manager.Register(job);
+  ASSERT_TRUE(session.ok()) << session.status();
+  ASSERT_TRUE((*session)->RunJob().ok());
+  const json::Value cold = (*session)->Snapshot();
+
+  JobSpec append = job;
+  append.append_rows = 40;
+  append.append_slice = 2;
+  ASSERT_TRUE(manager.Register(append).ok());
+  ASSERT_TRUE((*session)->RunJob().ok());
+  const json::Value warm = (*session)->Snapshot();
+
+  const std::vector<std::string> cold_b = {
+      "3fd94413845cc156", "3fd9f85f1beb6616",
+      "3fe1a7758aa0b09a", "3fd4ed7ead528aa1"};
+  const std::vector<std::string> cold_a = {
+      "3f9661e8561fc9d4", "3f910935a5d9cf39",
+      "3f9b45472b3eda9c", "3f57d7d5aa22f2a7"};
+  const std::vector<std::string> warm_b = {
+      "3fd94413845cc156", "3fd9f85f1beb6616",
+      "3fe1848240b4247c", "3fd4ed7ead528aa1"};
+  const std::vector<std::string> warm_a = {
+      "3f9661e8561fc9d4", "3f910935a5d9cf39",
+      "3f902f296e1496e4", "3f57d7d5aa22f2a7"};
+  EXPECT_EQ(CurveBits(cold, "b"), cold_b);
+  EXPECT_EQ(CurveBits(cold, "a"), cold_a);
+  EXPECT_EQ(CurveBits(warm, "b"), warm_b);
+  EXPECT_EQ(CurveBits(warm, "a"), warm_a);
+}
+
 TEST(SessionTest, RejectsSliceCountChangeOnResume) {
   SessionManager manager;
   const Result<TuningSession*> session = manager.Register(SmallJob("s"));
@@ -495,6 +552,15 @@ TEST(TuningServerTest, MetricsVerbExposesInstrumentedStack) {
     EXPECT_GE(h->GetInt("count"), 1) << key;
     EXPECT_GE(h->GetDouble("p99"), h->GetDouble("p50")) << key;
   }
+  // The estimate stage is booked once per round; the closing estimate
+  // after the last round has a histogram of its own.
+  const json::Value* round_estimates =
+      histograms->Find("serve_round_stage_ns{stage=\"estimate\"}");
+  ASSERT_NE(round_estimates, nullptr);
+  EXPECT_EQ(round_estimates->GetInt("count"), 2);
+  const json::Value* closing = histograms->Find("serve_closing_estimate_ns");
+  ASSERT_NE(closing, nullptr);
+  EXPECT_EQ(closing->GetInt("count"), 1);
 
   // The enriched stats response: shed totals, retry-after count, and the
   // p50/p99 latency block derived from the same histograms.
@@ -533,7 +599,16 @@ TEST(TuningServerTest, ProgressFramesCarryRoundSpans) {
   for (;;) {
     auto frame = connection->ReadJson(/*timeout_ms=*/60000);
     ASSERT_TRUE(frame.ok()) << frame.status();
-    if (frame->GetString("frame") == "done") break;
+    if (frame->GetString("frame") == "done") {
+      // The job tree holds one span per round plus the closing estimate,
+      // which is no round's stage.
+      const json::Value* tree = frame->Find("trace");
+      ASSERT_NE(tree, nullptr) << frame->Dump();
+      ASSERT_NE(tree->Find("rounds"), nullptr) << frame->Dump();
+      EXPECT_EQ(tree->Find("rounds")->items().size(), 2u);
+      EXPECT_GT(tree->GetDouble("closing_ms"), 0.0) << frame->Dump();
+      break;
+    }
     // Every progress frame carries the round's span: where the round's
     // wall time went, stage by stage.
     const json::Value* span = frame->Find("span");

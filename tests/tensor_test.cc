@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/random.h"
 #include "tensor/matrix.h"
@@ -382,6 +383,50 @@ TEST(BlockedKernelTest, FusedBiasMatchesUnfusedSequence) {
     AddRowBroadcast(&unfused, bias);
     MatMulBias(a, b, bias, &fused);
     EXPECT_TRUE(unfused == fused)
+        << "shape " << s.m << "x" << s.k << "x" << s.n;
+  }
+}
+
+// Narrow outputs (n <= 4, the logits head) take register-accumulator
+// kernels; they must reproduce the naive kernels bit for bit, +-0 included.
+const GemmShape kNarrowShapes[] = {
+    {32, 8, 2}, {7, 8, 1}, {160, 8, 2}, {33, 5, 3}, {64, 64, 4}};
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(BlockedKernelTest, NarrowBiasGemmMatchesNaivePlusBroadcast) {
+  Rng rng(107);
+  for (const GemmShape& s : kNarrowShapes) {
+    Matrix a(s.m, s.k), b(s.k, s.n), bias(1, s.n);
+    FillSigned(&a, &rng);
+    FillSigned(&b, &rng);
+    FillSigned(&bias, &rng);
+    Matrix ref, fused, plain;
+    MatMulNaive(a, b, &ref);
+    MatMul(a, b, &plain);
+    EXPECT_TRUE(SameBits(ref, plain))
+        << "shape " << s.m << "x" << s.k << "x" << s.n;
+    AddRowBroadcast(&ref, bias);
+    MatMulBias(a, b, bias, &fused);
+    EXPECT_TRUE(SameBits(ref, fused))
+        << "shape " << s.m << "x" << s.k << "x" << s.n;
+  }
+}
+
+TEST(BlockedKernelTest, NarrowTransposedAMatchesNaive) {
+  // a^T * b with a: m x k and b: m x n, the shape of the head's dW.
+  Rng rng(108);
+  for (const GemmShape& s : kNarrowShapes) {
+    Matrix a(s.m, s.k), b(s.m, s.n);
+    FillSigned(&a, &rng);
+    FillSigned(&b, &rng);
+    Matrix ref, got;
+    MatMulTransposedANaive(a, b, &ref);
+    MatMulTransposedA(a, b, &got);
+    EXPECT_TRUE(SameBits(ref, got))
         << "shape " << s.m << "x" << s.k << "x" << s.n;
   }
 }
