@@ -77,19 +77,32 @@ Status WriteStringToFile(const std::string& path, const std::string& content) {
 
 namespace {
 
-const uint32_t* Crc32Table() {
-  static const uint32_t* table = [] {
-    static uint32_t entries[256];
+// Slicing-by-8 tables: t[0] is the bytewise CRC-32 table, and t[k][b] is
+// the CRC contribution of byte b followed by k zero bytes, so one step
+// folds eight input bytes with eight independent lookups.
+struct Crc32Tables {
+  uint32_t t[8][256];
+};
+
+const Crc32Tables& Crc32Table() {
+  static const Crc32Tables& tables = *[] {
+    auto* tables = new Crc32Tables;
+    uint32_t(&t)[8][256] = tables->t;
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      entries[i] = c;
+      t[0][i] = c;
     }
-    return entries;
+    for (int k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
+    }
+    return tables;
   }();
-  return table;
+  return tables;
 }
 
 std::string ParentDir(const std::string& path) {
@@ -112,11 +125,25 @@ void BestEffortSyncDir(const std::string& dir) {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
-  const uint32_t* table = Crc32Table();
+  const uint32_t(&t)[8][256] = Crc32Table().t;
   const unsigned char* bytes = static_cast<const unsigned char*>(data);
   uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    c = table[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
+  // Little-endian words assembled bytewise: no alignment or host-order
+  // assumption, and compilers fold each into one load.
+  const auto word = [](const unsigned char* p) {
+    return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+           static_cast<uint32_t>(p[2]) << 16 |
+           static_cast<uint32_t>(p[3]) << 24;
+  };
+  for (; size >= 8; size -= 8, bytes += 8) {
+    const uint32_t lo = word(bytes) ^ c;
+    const uint32_t hi = word(bytes + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; --size, ++bytes) {
+    c = t[0][(c ^ *bytes) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -1,8 +1,10 @@
 #include "common/json.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <cfloat>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -49,57 +51,118 @@ Result<double> ParseFloat64(const std::string& text) {
   return value;
 }
 
-std::string FormatFloat64(double value) {
-  if (!std::isfinite(value)) return "null";
-  // Shortest of %.15g / %.16g / %.17g that survives a strtod round trip.
-  char buf[40];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
+namespace {
+
+// Reads the JSON number token [first, last) the way strtod reads it.
+// from_chars rounds exactly as glibc's strtod does, but it accepts
+// subnormal results that strtod flags ERANGE; those (and from_chars'
+// own range errors) take the strtod path, so acceptance and bits never
+// differ. Returns false where strtod would set ERANGE.
+bool ReadDouble(const char* first, const char* last, double* out) {
+  double value = 0.0;
+  const std::from_chars_result read = std::from_chars(first, last, value);
+  if (read.ec == std::errc() && read.ptr == last &&
+      (value == 0.0 || std::fabs(value) > DBL_MIN)) {
+    *out = value;
+    return true;
   }
-  std::string out = buf;
+  const std::string token(first, last);
+  errno = 0;
+  *out = std::strtod(token.c_str(), nullptr);
+  return errno != ERANGE;
+}
+
+void AppendFloat64(std::string* out, double value) {
+  if (!std::isfinite(value)) {
+    out->append("null");
+    return;
+  }
+  // Shortest of %.15g / %.16g / %.17g that reads back exactly;
+  // to_chars(general, p) writes exactly the bytes printf's %.*g does.
+  char buf[40];
+  char* end = buf;
+  for (int precision = 15;; ++precision) {
+    end = std::to_chars(buf, buf + sizeof(buf), value,
+                        std::chars_format::general, precision)
+              .ptr;
+    if (precision == 17) break;  // %.17g always reads back
+    // A range error (%.15g of a value near DBL_MAX rounds past it) reads
+    // back as infinity, so it never matches either.
+    double back = 0.0;
+    if (std::from_chars(buf, end, back).ec == std::errc() && back == value) {
+      break;
+    }
+  }
+  out->append(buf, end);
   // Keep doubles parseable as doubles: a whole value like 40 would reparse
   // as an integer and break the parse(serialize(x)) == x contract.
-  if (out.find_first_of(".eE") == std::string::npos) out += ".0";
+  if (std::find_if(buf, end, [](char c) {
+        return c == '.' || c == 'e' || c == 'E';
+      }) == end) {
+    out->append(".0");
+  }
+}
+
+void AppendInt64(std::string* out, long long value) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+void AppendEscaped(std::string* out, const std::string& text) {
+  static const char kHex[] = "0123456789abcdef";
+  out->push_back('"');
+  const char* run = text.data();
+  const char* const end = run + text.size();
+  for (const char* p = run; p != end; ++p) {
+    const unsigned char c = static_cast<unsigned char>(*p);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(run, p);
+    run = p + 1;
+    switch (c) {
+      case '"':
+        out->append("\\\"");
+        break;
+      case '\\':
+        out->append("\\\\");
+        break;
+      case '\b':
+        out->append("\\b");
+        break;
+      case '\f':
+        out->append("\\f");
+        break;
+      case '\n':
+        out->append("\\n");
+        break;
+      case '\r':
+        out->append("\\r");
+        break;
+      case '\t':
+        out->append("\\t");
+        break;
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xF]};
+        out->append(escape, sizeof(escape));
+      }
+    }
+  }
+  out->append(run, end);
+  out->push_back('"');
+}
+
+}  // namespace
+
+std::string FormatFloat64(double value) {
+  std::string out;
+  AppendFloat64(&out, value);
   return out;
 }
 
 std::string EscapeString(const std::string& text) {
   std::string out;
   out.reserve(text.size() + 2);
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
+  AppendEscaped(&out, text);
   return out;
 }
 
@@ -201,13 +264,13 @@ void Value::DumpTo(std::string* out, int indent, int depth) const {
       *out += bool_ ? "true" : "false";
       return;
     case Type::kInt:
-      *out += StrFormat("%lld", int_);
+      AppendInt64(out, int_);
       return;
     case Type::kDouble:
-      *out += FormatFloat64(double_);
+      AppendFloat64(out, double_);
       return;
     case Type::kString:
-      *out += EscapeString(string_);
+      AppendEscaped(out, string_);
       return;
     case Type::kArray: {
       *out += '[';
@@ -223,7 +286,7 @@ void Value::DumpTo(std::string* out, int indent, int depth) const {
         *out += '{';
         for (size_t i = 0; i < members_.size(); ++i) {
           if (i > 0) *out += ',';
-          *out += EscapeString(members_[i].first);
+          AppendEscaped(out, members_[i].first);
           *out += ':';
           members_[i].second.DumpTo(out, 0, depth + 1);
         }
@@ -234,11 +297,11 @@ void Value::DumpTo(std::string* out, int indent, int depth) const {
         *out += "{}";
         return;
       }
-      const std::string pad((depth + 1) * indent, ' ');
+      const size_t pad = static_cast<size_t>((depth + 1) * indent);
       *out += "{\n";
       for (size_t i = 0; i < members_.size(); ++i) {
-        *out += pad;
-        *out += EscapeString(members_[i].first);
+        out->append(pad, ' ');
+        AppendEscaped(out, members_[i].first);
         *out += ": ";
         members_[i].second.DumpTo(out, indent, depth + 1);
         if (i + 1 < members_.size()) *out += ',';
@@ -428,8 +491,15 @@ class Parser {
         return Fail("unescaped control character in string");
       }
       if (c != '\\') {
-        out->push_back(c);
-        ++pos_;
+        // Copy the whole run up to the next quote, escape or control byte.
+        size_t run_end = pos_ + 1;
+        while (run_end < text_.size()) {
+          const unsigned char next = static_cast<unsigned char>(text_[run_end]);
+          if (next == '"' || next == '\\' || next < 0x20) break;
+          ++run_end;
+        }
+        out->append(text_, pos_, run_end - pos_);
+        pos_ = run_end;
         continue;
       }
       ++pos_;
@@ -527,18 +597,23 @@ class Parser {
         ++pos_;
       }
     }
-    const std::string token = text_.substr(start, pos_ - start);
+    // Numbers are read in place: no token copy on the common path.
+    const char* const first = text_.data() + start;
+    const char* const last = text_.data() + pos_;
     if (integral) {
-      const Result<long long> as_int = ParseInt64(token);
-      if (as_int.ok()) {
-        *out = Value(*as_int);
+      long long as_int = 0;
+      const std::from_chars_result read = std::from_chars(first, last, as_int);
+      if (read.ec == std::errc() && read.ptr == last) {
+        *out = Value(as_int);
         return Status::OK();
       }
       // Out of int64 range: fall through to double.
     }
-    const Result<double> as_double = ParseFloat64(token);
-    if (!as_double.ok()) return Fail("bad number '" + token + "'");
-    *out = Value(*as_double);
+    double as_double = 0.0;
+    if (!ReadDouble(first, last, &as_double)) {
+      return Fail("bad number '" + std::string(first, last) + "'");
+    }
+    *out = Value(as_double);
     return Status::OK();
   }
 

@@ -77,14 +77,14 @@ struct ServeMetrics {
   obs::Histogram* closing_estimate_ns =
       registry.histogram("serve_closing_estimate_ns");
 
-  // Startup recovery: the total, and its split by phase.
+  // Startup recovery up to the listen socket: the total, and its split by
+  // phase. The startup checkpoint runs after listen, on the maintenance
+  // thread, which sets store_replay_phase_ms{phase="checkpoint"}.
   obs::Gauge* replay_ms = registry.gauge("store_replay_ms");
   obs::Gauge* replay_open_ms =
       registry.gauge("store_replay_phase_ms", "phase", "open");
   obs::Gauge* replay_restore_ms =
       registry.gauge("store_replay_phase_ms", "phase", "restore");
-  obs::Gauge* replay_checkpoint_ms =
-      registry.gauge("store_replay_phase_ms", "phase", "checkpoint");
 
   static ServeMetrics& Get() {
     static ServeMetrics& metrics = *new ServeMetrics();

@@ -89,28 +89,23 @@ Status TuningServer::OpenStateDir() {
   end_phase(metrics.replay_open_ms);
   // Recovery order matters: materialize sessions from the recovered
   // snapshot + journal tail first, then attach the store (so replay itself
-  // journals nothing), then checkpoint — the fresh snapshot covers
-  // everything restored and the recovered journal chain is retired.
+  // journals nothing). The checkpoint that covers everything restored and
+  // retires the recovered journal chain is owed to the maintenance thread.
   ST_ASSIGN_OR_RETURN(
       restore_report_,
       sessions_.RestoreFromState(store_->recovered(), store_.get(),
                                  /*skip_existing=*/false));
   end_phase(metrics.replay_restore_ms);
   sessions_.AttachStore(store_.get());
-  ST_RETURN_NOT_OK(Checkpoint().status());
-  end_phase(metrics.replay_checkpoint_ms);
   store_->SetTailWarnBytes(
       options_.journal_tail_warn_bytes > 0
           ? static_cast<size_t>(options_.journal_tail_warn_bytes)
           : 0);
-  if (options_.maintenance.Enabled()) {
-    maintenance_ = std::make_unique<store::MaintenanceManager>(
-        store_.get(), options_.maintenance,
-        [this] { return sessions_.DurableSnapshot(); });
-    sessions_.SetJobFinishedCallback(
-        [this] { maintenance_->NotifyJobFinished(); });
-    maintenance_->Start();
-  }
+  maintenance_ = std::make_unique<store::MaintenanceManager>(
+      store_.get(), options_.maintenance,
+      [this] { return sessions_.DurableSnapshot(); });
+  sessions_.SetJobFinishedCallback(
+      [this] { maintenance_->NotifyJobFinished(); });
   metrics.replay_ms->Set(
       static_cast<double>(obs::MonotonicNanos() - replay_start_ns) / 1e6);
   return Status::OK();
@@ -194,6 +189,8 @@ Status TuningServer::Start() {
     dispatch_threads_.emplace_back([this, shard] { DispatchLoop(shard); });
   }
   cancel_thread_ = std::thread([this] { CancelLoop(); });
+  // Listening first, compacting second: the startup checkpoint runs now.
+  if (maintenance_ != nullptr) maintenance_->Start();
   return Status::OK();
 }
 
@@ -278,13 +275,7 @@ json::Value TuningServer::StatsJson() const {
   if (store_ != nullptr) {
     json::Value store_json = store_->StatsJson();
     store_json.Set("startup_restore", restore_report_.ToJson());
-    if (maintenance_ != nullptr) {
-      store_json.Set("maintenance", maintenance_->StatsJson());
-    } else {
-      json::Value disabled = json::Value::Object();
-      disabled.Set("enabled", false);
-      store_json.Set("maintenance", std::move(disabled));
-    }
+    store_json.Set("maintenance", maintenance_->StatsJson());
     out.Set("store", std::move(store_json));
   }
   return out;
@@ -739,10 +730,7 @@ json::Value TuningServer::HandleRequest(Connection* conn,
       // session the live registry does not already hold. Idempotent: live
       // sessions are never overwritten, and submits racing the rebuild are
       // shed with a retry hint (SessionManager::Register).
-      const Status synced = store_->Sync();
-      if (!synced.ok()) return ErrorResponse(synced);
-      const Result<store::RecoveredState> state =
-          store::ReadStateDir(store_->dir());
+      const Result<store::RecoveredState> state = store_->SyncAndRead();
       if (!state.ok()) return ErrorResponse(state.status());
       const Result<RestoreReport> report = sessions_.RestoreFromState(
           *state, store_.get(), /*skip_existing=*/true);

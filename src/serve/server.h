@@ -70,14 +70,16 @@ struct ServerOptions {
   /// stopped reading while pipelining requests).
   size_t max_output_bytes = 4 * 1024 * 1024;
   /// Non-empty: durable-state directory (src/store/). Start() recovers it —
-  /// sessions resume warm, with their curve caches installed — and the
-  /// server journals session lifecycles, honors the `snapshot`/`restore`
-  /// admin verbs, and checkpoints once more on graceful shutdown.
+  /// sessions resume warm, with their curve caches installed — before it
+  /// listens; the maintenance thread then checkpoints the restored state.
+  /// The server journals session lifecycles, honors the `snapshot`/
+  /// `restore` admin verbs, and checkpoints once more on graceful shutdown.
   std::string state_dir;
-  /// Background maintenance cadence (requires state_dir). When a trigger is
-  /// set, a maintenance thread checkpoints the store online — collapsing
-  /// sealed journal generations into a fresh snapshot and retiring both —
-  /// without pausing serving (src/store/maintenance.h).
+  /// Background maintenance cadence (requires state_dir). The maintenance
+  /// thread runs the startup checkpoint first; when a trigger is set, it
+  /// then checkpoints the store online on that cadence — collapsing sealed
+  /// journal generations into a fresh snapshot and retiring both — without
+  /// pausing serving (src/store/maintenance.h).
   store::MaintenancePolicy maintenance;
   /// Un-snapshotted journal tail size that logs a warning and raises the
   /// store_journal_tail_bytes gauge alarm even when maintenance is off
@@ -110,8 +112,8 @@ class TuningServer {
   const AdmissionController& admission() const { return admission_; }
   /// The durable store backing this server; nullptr without a state dir.
   store::DurableStore* durable_store() { return store_.get(); }
-  /// The background maintenance thread; nullptr unless the policy has a
-  /// trigger configured and a state dir is set.
+  /// The background maintenance thread (startup checkpoint, then the
+  /// policy's cadence); nullptr without a state dir.
   store::MaintenanceManager* maintenance() { return maintenance_.get(); }
   /// What startup recovery did (empty report without a state dir).
   const RestoreReport& restore_report() const { return restore_report_; }
@@ -139,6 +141,12 @@ class TuningServer {
   void CancelLoop();
   void WakeWorkers();
 
+  /// Recovers the state dir before Start() listens: opens the store,
+  /// restores every session, attaches the store for journaling, and
+  /// creates the maintenance manager, which owes the startup checkpoint
+  /// and runs it once Start() has opened the listen socket. Crash safety
+  /// does not need that checkpoint first: Open() sealed the recovered
+  /// generations and appends go to a fresh one.
   Status OpenStateDir();
   /// Snapshots every session through the store's one checkpoint path.
   Result<store::CheckpointReport> Checkpoint();

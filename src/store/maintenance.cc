@@ -25,6 +25,10 @@ struct MaintenanceMetrics {
       "store_maintenance_snapshots_retired_total");
   obs::Histogram* checkpoint_ns = obs::MetricsRegistry::Global().histogram(
       "store_maintenance_checkpoint_ns");
+  // Wall time of the owed checkpoint once it succeeds: on a restarted
+  // daemon, the startup checkpoint that runs after the listen socket opens.
+  obs::Gauge* owed_checkpoint_ms = obs::MetricsRegistry::Global().gauge(
+      "store_replay_phase_ms", "phase", "checkpoint");
 };
 
 MaintenanceMetrics& Metrics() {
@@ -37,7 +41,9 @@ MaintenanceMetrics& Metrics() {
 MaintenanceManager::MaintenanceManager(DurableStore* store,
                                        MaintenancePolicy policy,
                                        SnapshotProvider provider)
-    : store_(store), policy_(policy), provider_(std::move(provider)) {}
+    : store_(store), policy_(policy), provider_(std::move(provider)) {
+  Metrics();  // register every maintenance series before the first scrape
+}
 
 MaintenanceManager::~MaintenanceManager() { Stop(); }
 
@@ -91,10 +97,16 @@ bool MaintenanceManager::CheckpointDue() const {
 Status MaintenanceManager::RunOnce() {
   const uint64_t start_ns = obs::MonotonicNanos();
   size_t jobs_at_start;
+  bool owed;
   {
     std::lock_guard<std::mutex> lock(mu_);
     jobs_at_start = jobs_since_checkpoint_;
+    owed = owed_;
   }
+  // The owed checkpoint folds the sessions rebuilt from what recovery
+  // found, so that tree is dead weight from here on. Freeing it here keeps
+  // the cost off the path to the listen socket.
+  if (owed) store_->ReleaseRecovered();
   const Result<CheckpointReport> report =
       store_->CheckpointOnline(provider_, policy_.retain_snapshots);
   const uint64_t elapsed_ns = obs::MonotonicNanos() - start_ns;
@@ -109,6 +121,7 @@ Status MaintenanceManager::RunOnce() {
   // next one: their records live in the new generation the checkpoint did
   // not cover.
   jobs_since_checkpoint_ -= std::min(jobs_since_checkpoint_, jobs_at_start);
+  owed_ = false;
   ++stats_.checkpoints;
   stats_.journals_retired += report->journals_retired;
   stats_.snapshots_retired += report->snapshots_retired;
@@ -117,6 +130,7 @@ Status MaintenanceManager::RunOnce() {
   Metrics().journals_retired->Add(report->journals_retired);
   Metrics().snapshots_retired->Add(report->snapshots_retired);
   Metrics().checkpoint_ns->Record(elapsed_ns);
+  if (owed) Metrics().owed_checkpoint_ms->Set(stats_.last_checkpoint_ms);
   return Status::OK();
 }
 
@@ -125,9 +139,12 @@ void MaintenanceManager::Loop() {
       std::chrono::milliseconds(std::max(1, policy_.interval_ms));
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_) {
-    cv_.wait_for(lock, interval, [this] { return stop_ || DueLocked(); });
+    // With no cadence trigger, the owed checkpoint is the only work.
+    if (!owed_ && !policy_.Enabled()) break;
+    cv_.wait_for(lock, interval,
+                 [this] { return stop_ || owed_ || DueLocked(); });
     if (stop_) break;
-    if (!DueLocked()) continue;
+    if (!owed_ && !DueLocked()) continue;
     lock.unlock();
     const Status status = RunOnce();
     if (!status.ok()) {
@@ -136,8 +153,8 @@ void MaintenanceManager::Loop() {
     }
     lock.lock();
     if (!status.ok() && !stop_) {
-      // Plain backoff wait: the failed trigger is still due, so the
-      // predicate wait above would spin. One interval between retries.
+      // Plain backoff wait: the failed checkpoint is still owed or due, so
+      // the predicate wait above would spin. One interval between retries.
       cv_.wait_for(lock, interval, [this] { return stop_; });
     }
   }

@@ -1,21 +1,27 @@
 // Autonomous store maintenance: a cadence policy plus the background
 // thread that drives DurableStore::CheckpointOnline while the daemon
-// serves traffic. The serving layer notifies the manager on every finished
-// job; the policy triggers a checkpoint after N finished jobs and/or once
-// the un-snapshotted journal tail exceeds M bytes, whichever fires first.
-// Each checkpoint collapses the sealed journal chain into a fresh
-// snapshot, retires the covered generations, and trims superseded
-// snapshots to a retention count — in bounded phases that never stop the
-// world (writers only block for the O(1) generation rotate).
+// serves traffic. Every manager owes one checkpoint from construction:
+// its thread runs that checkpoint first, before any cadence checkpoint.
+// On a restarted daemon this is the startup checkpoint, which folds the
+// restored sessions into a fresh snapshot and retires the recovered
+// journal chain after the listen socket is already open. After it, the
+// serving layer notifies the manager on every finished job, and the
+// policy triggers a checkpoint after N finished jobs and/or once the
+// un-snapshotted journal tail exceeds M bytes, whichever fires first; a
+// policy with no trigger runs only the owed checkpoint. Each checkpoint
+// collapses the sealed journal chain into a fresh snapshot, retires the
+// covered generations, and trims superseded snapshots to a retention
+// count — in bounded phases that never stop the world (writers only block
+// for the O(1) generation rotate).
 //
 // Failure policy: a checkpoint that fails (disk full, injected EIO, fsync
 // error) leaves the previous snapshot and the journal chain intact and
 // serving unaffected; the failure is counted
-// (store_maintenance_failures_total) and the thread simply retries on a
-// later tick. docs/STATE.md ("Maintenance lifecycle") documents the
-// crash-recovery invariant at every phase boundary;
-// tests/store_maintenance_test.cc enforces them through the
-// store::FaultInjector seam.
+// (store_maintenance_failures_total) and the thread retries one
+// interval_ms later — the owed checkpoint stays owed until one succeeds.
+// docs/STATE.md ("Maintenance lifecycle") documents the crash-recovery
+// invariant at every phase boundary; tests/store_maintenance_test.cc
+// enforces them through the store::FaultInjector seam.
 
 #ifndef SLICETUNER_STORE_MAINTENANCE_H_
 #define SLICETUNER_STORE_MAINTENANCE_H_
@@ -80,7 +86,8 @@ class MaintenanceManager {
   MaintenanceManager(const MaintenanceManager&) = delete;
   MaintenanceManager& operator=(const MaintenanceManager&) = delete;
 
-  /// Launches the maintenance thread. Idempotent.
+  /// Launches the maintenance thread, which runs the owed checkpoint
+  /// first. Idempotent.
   void Start();
 
   /// Stops and joins the thread (a checkpoint in flight completes first).
@@ -90,11 +97,16 @@ class MaintenanceManager {
   /// One finished job (the serving layer's cadence signal).
   void NotifyJobFinished();
 
-  /// True when either trigger says a checkpoint is owed.
+  /// True when either cadence trigger fires. The checkpoint owed from
+  /// construction is not a trigger: it is pending until any checkpoint of
+  /// this manager succeeds.
   bool CheckpointDue() const;
 
   /// Runs one checkpoint now, regardless of the triggers — the maintenance
-  /// thread's body, also called directly by tests and benches.
+  /// thread's body, also called directly by tests and benches. A success
+  /// settles the owed checkpoint. While the checkpoint is owed, RunOnce
+  /// first frees the store's recovered state (DurableStore::
+  /// ReleaseRecovered), so the sessions must already be restored from it.
   Status RunOnce();
 
   MaintenanceStats stats() const;
@@ -113,6 +125,8 @@ class MaintenanceManager {
   std::thread thread_;
   bool running_ = false;
   bool stop_ = false;
+  // The checkpoint owed from construction, cleared by the first success.
+  bool owed_ = true;
   size_t jobs_since_checkpoint_ = 0;
   MaintenanceStats stats_;
 };

@@ -134,6 +134,8 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(
   store->dir_ = dir;
   std::vector<std::pair<uint64_t, size_t>> chain;
   ST_ASSIGN_OR_RETURN(store->recovered_, ReadStateDirImpl(dir, &chain));
+  store->recovered_records_ = store->recovered_.tail.size();
+  store->recovered_snapshot_ = !store->recovered_.snapshot.is_null();
   store->generation_ = chain.empty() ? 1 : chain.back().first + 1;
   ST_ASSIGN_OR_RETURN(store->writer_,
                       JournalWriter::Open(JournalPath(dir,
@@ -150,6 +152,17 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(
 }
 
 DurableStore::~DurableStore() { (void)writer_.Close(); }
+
+void DurableStore::ReleaseRecovered() {
+  recovered_.snapshot = json::Value();
+  std::vector<json::Value>().swap(recovered_.tail);
+}
+
+Result<RecoveredState> DurableStore::SyncAndRead() {
+  std::lock_guard<std::mutex> checkpoint_lock(checkpoint_mu_);
+  ST_RETURN_NOT_OK(Sync());
+  return ReadStateDir(dir_);
+}
 
 Status DurableStore::Append(const json::Value& record) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -348,8 +361,8 @@ json::Value DurableStore::StatsJson() const {
   out.Set("snapshots_retired", s.snapshots_retired);
   out.Set("journal_tail_bytes", s.journal_tail_bytes);
   out.Set("tail_warnings", s.tail_warnings);
-  out.Set("recovered_records", recovered_.tail.size());
-  out.Set("recovered_snapshot", !recovered_.snapshot.is_null());
+  out.Set("recovered_records", recovered_records_);
+  out.Set("recovered_snapshot", recovered_snapshot_);
   out.Set("tail_truncated", recovered_.tail_truncated);
   return out;
 }

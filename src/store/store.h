@@ -21,14 +21,14 @@
 //     the newest generation only; anywhere else it is corruption.
 //   * Appends go to a generation opened fresh by Open() — recovered files
 //     are never appended to.
-//   * CheckpointOnline() is the one checkpoint path — startup compaction,
-//     background maintenance, the `snapshot` verb and the shutdown
-//     snapshot all use it. It collapses the chain while the store serves
-//     writers, phased so appends only block for the O(1) generation rotate
-//     (docs/STATE.md, "Maintenance lifecycle", spells out the per-phase
-//     crash invariants), and retires every generation the new snapshot
-//     covers. Superseded checkpoints are kept as `snapshot-NNNNNN.st`
-//     rollback artifacts up to a retention count.
+//   * CheckpointOnline() is the one checkpoint path — the startup and
+//     cadence checkpoints of background maintenance, the `snapshot` verb
+//     and the shutdown snapshot all use it. It collapses the chain while
+//     the store serves writers, phased so appends only block for the O(1)
+//     generation rotate (docs/STATE.md, "Maintenance lifecycle", spells
+//     out the per-phase crash invariants), and retires every generation the
+//     new snapshot covers. Superseded checkpoints are kept as
+//     `snapshot-NNNNNN.st` rollback artifacts up to a retention count.
 //
 // Thread safety: append-path methods are serialized on one internal mutex;
 // checkpoints are serialized among themselves on a checkpoint mutex, which
@@ -108,6 +108,17 @@ class DurableStore {
   const RecoveredState& recovered() const { return recovered_; }
   const std::string& dir() const { return dir_; }
 
+  /// Frees the recovered snapshot document and journal records once the
+  /// caller has replayed them; recovered() keeps only its scalar fields,
+  /// and StatsJson keeps reporting what recovery found. No other thread may
+  /// read recovered() meanwhile.
+  void ReleaseRecovered();
+
+  /// Syncs, then reads the directory back the way Open() would recover it
+  /// (ReadStateDir). Checkpoints are held off meanwhile, so the read never
+  /// sees a generation retired underneath it.
+  Result<RecoveredState> SyncAndRead();
+
   /// Appends one record to the live journal generation (buffered).
   Status Append(const json::Value& record);
 
@@ -161,6 +172,9 @@ class DurableStore {
 
   std::string dir_;
   RecoveredState recovered_;
+  // What recovery found, kept past ReleaseRecovered for StatsJson.
+  size_t recovered_records_ = 0;
+  bool recovered_snapshot_ = false;
   // Lock order: checkpoint_mu_ before mu_. Append/Sync take only mu_, so
   // they run concurrently with a checkpoint's slow phases.
   mutable std::mutex checkpoint_mu_;

@@ -75,6 +75,22 @@ std::string JoinLines(const CommandResult& result) {
   return all;
 }
 
+// Polls the stats verb (bounded) until the daemon's maintenance thread
+// reports at least `want` checkpoints; returns the last count seen.
+long long AwaitCheckpoints(const std::string& client, long long want) {
+  long long checkpoints = 0;
+  for (int attempt = 0; attempt < 600 && checkpoints < want; ++attempt) {
+    const json::Value stats = LastJson(RunCommand(client + " stats"));
+    const json::Value* store = stats.Find("store");
+    const json::Value* maintenance =
+        store == nullptr ? nullptr : store->Find("maintenance");
+    if (maintenance != nullptr) {
+      checkpoints = maintenance->GetInt("checkpoints");
+    }
+  }
+  return checkpoints;
+}
+
 // Launches slicetuner_serve with `extra_flags`, reads the ephemeral port
 // off the banner (plus any banner lines before it into *banner), and
 // returns the process pipe. Null on failure to launch or bind.
@@ -307,9 +323,10 @@ TEST(ServeSmokeTest, WarmRestartAcrossRealProcesses) {
   const json::Value* gauges = durable_metrics.Find("gauges");
   ASSERT_NE(gauges, nullptr);
   EXPECT_TRUE(gauges->Has("store_replay_ms"));
-  // ...split by phase; the phases add up to no more than the total.
+  // ...split by phase. store_replay_ms is the time to listen: open and
+  // restore add up to no more than it.
   double phases_ms = 0.0;
-  for (const char* phase : {"open", "restore", "checkpoint"}) {
+  for (const char* phase : {"open", "restore"}) {
     const std::string key =
         std::string("store_replay_phase_ms{phase=\"") + phase + "\"}";
     ASSERT_TRUE(gauges->Has(key)) << key << " in " << gauges->Dump();
@@ -317,6 +334,18 @@ TEST(ServeSmokeTest, WarmRestartAcrossRealProcesses) {
     phases_ms += gauges->GetDouble(key);
   }
   EXPECT_LE(phases_ms, gauges->GetDouble("store_replay_ms"));
+  // The startup checkpoint runs after listen, on the maintenance thread;
+  // once stats shows it, its phase gauge holds its duration.
+  ASSERT_GE(AwaitCheckpoints(client, 1), 1)
+      << "the startup checkpoint never landed";
+  const json::Value after_checkpoint =
+      LastJson(RunCommand(client + " metrics"));
+  const json::Value* checkpoint_gauges = after_checkpoint.Find("gauges");
+  ASSERT_NE(checkpoint_gauges, nullptr) << after_checkpoint.Dump();
+  EXPECT_GT(checkpoint_gauges->GetDouble(
+                "store_replay_phase_ms{phase=\"checkpoint\"}"),
+            0.0)
+      << checkpoint_gauges->Dump();
 
   EXPECT_EQ(RunCommand(client + " shutdown").exit_code, 0);
   std::string server_tail;
@@ -466,8 +495,9 @@ TEST(ServeSmokeTest, MaintenanceCrashMidCheckpointRestartsAndRecovers) {
       " --snapshot-every-jobs=2 --maintenance-interval-ms=25"
       " --retain-snapshots=1";
   int port = 0;
-  // skip=2: the startup checkpoint and the first maintenance checkpoint
-  // pass the point; the second maintenance checkpoint dies there.
+  // skip=2: the startup checkpoint (the maintenance thread's first) and
+  // the first cadence checkpoint pass the point; the second cadence
+  // checkpoint dies there.
   std::FILE* server = LaunchServer(
       maint_flags, &port, nullptr,
       "SLICETUNER_FAULT_CRASH=maint.post_snapshot.pre_retire:2 ");
@@ -486,20 +516,16 @@ TEST(ServeSmokeTest, MaintenanceCrashMidCheckpointRestartsAndRecovers) {
     (void)streamed;
   };
 
-  // Two finished jobs trigger checkpoint #1; wait until the stats verb
-  // reports it so the second pair deterministically triggers checkpoint #2.
+  // The startup checkpoint lands first, so it cannot absorb the jobs
+  // below. Two finished jobs then trigger cadence checkpoint #1; waiting
+  // for it makes the second pair deterministically trigger cadence
+  // checkpoint #2.
+  ASSERT_GE(AwaitCheckpoints(client, 1), 1)
+      << "startup checkpoint never landed";
   run_job("m1");
   run_job("m2");
-  long long checkpoints = 0;
-  for (int attempt = 0; attempt < 600 && checkpoints < 1; ++attempt) {
-    const json::Value stats = LastJson(RunCommand(client + " stats"));
-    const json::Value* store = stats.Find("store");
-    if (store == nullptr) continue;
-    const json::Value* maintenance = store->Find("maintenance");
-    if (maintenance == nullptr) continue;
-    checkpoints = maintenance->GetInt("checkpoints");
-  }
-  ASSERT_GE(checkpoints, 1) << "first online checkpoint never landed";
+  ASSERT_GE(AwaitCheckpoints(client, 2), 2)
+      << "first cadence checkpoint never landed";
 
   // Two more jobs arm checkpoint #2, which dies mid-maintenance. The
   // stream near the crash may fail — only the exit matters here.

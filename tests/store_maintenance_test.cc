@@ -302,6 +302,249 @@ TEST(StoreMaintenanceCrashTest, MidRetirementCrashLeavesContiguousSuffix) {
 }
 
 // ---------------------------------------------------------------------------
+// The deferred startup checkpoint: a restarted daemon restores, attaches
+// the store and starts serving; the maintenance thread runs the owed
+// checkpoint concurrently with new appends.
+// ---------------------------------------------------------------------------
+
+// The pre-restart directory: a snapshot (so the owed checkpoint has one to
+// preserve and retire) plus a journal tail holding a's append job.
+std::string PreRestartDir() {
+  const std::string dir = FreshDir("deferred_base");
+  Result<std::unique_ptr<store::DurableStore>> store =
+      store::DurableStore::Open(dir);
+  ST_CHECK_OK(store.status());
+  {
+    SessionManager manager;
+    manager.AttachStore(store->get());
+    MustRegisterAndRun(&manager, ColdJob("a"));
+    MustRegisterAndRun(&manager, ColdJob("b"));
+    ST_CHECK_OK((*store)
+                    ->CheckpointOnline(
+                        [&manager] { return manager.DurableSnapshot(); }, 2)
+                    .status());
+    MustRegisterAndRun(&manager, AppendJob("a"));
+    ST_CHECK_OK((*store)->Sync());
+  }
+  return dir;
+}
+
+// A restarted daemon's state: the store reopened, every session restored,
+// the store attached for journaling.
+struct Restarted {
+  std::unique_ptr<store::DurableStore> store;
+  SessionManager manager;
+
+  explicit Restarted(const std::string& dir) {
+    Result<std::unique_ptr<store::DurableStore>> opened =
+        store::DurableStore::Open(dir);
+    ST_CHECK_OK(opened.status());
+    store = std::move(*opened);
+    const Result<RestoreReport> report = manager.RestoreFromState(
+        store->recovered(), store.get(), /*skip_existing=*/false);
+    ST_CHECK_OK(report.status());
+    manager.AttachStore(store.get());
+  }
+};
+
+// Runs jobs on session c until stopped (at least one, at most
+// `max_jobs`): the appends in flight while the owed checkpoint runs.
+class Appender {
+ public:
+  Appender(SessionManager* manager, int max_jobs)
+      : thread_([this, manager, max_jobs] {
+          for (int i = 0; i < max_jobs && (i == 0 || !stop_.load()); ++i) {
+            MustRegisterAndRun(manager, i == 0 ? ColdJob("c") : AppendJob("c"));
+            jobs_.fetch_add(1);
+          }
+        }) {}
+  ~Appender() { Stop(); }
+
+  void Stop() {
+    stop_.store(true);
+    if (thread_.joinable()) thread_.join();
+  }
+  int jobs() const { return jobs_.load(); }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::atomic<int> jobs_{0};
+  std::thread thread_;
+};
+
+// Waits (bounded) until the maintenance manager has settled the owed
+// checkpoint.
+void AwaitCheckpoint(const store::MaintenanceManager& maintenance) {
+  for (int i = 0; i < 20000 && maintenance.stats().checkpoints == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(maintenance.stats().checkpoints, 1u);
+}
+
+TEST(StoreMaintenanceCrashTest, DeferredStartupCheckpointRecoversBitIdentical) {
+  InjectorReset guard;
+  constexpr int kMaxAppendJobs = 8;
+
+  // --- control: the same history, never restarted, no store ---
+  SessionManager control;
+  TuningSession* control_a = MustRegisterAndRun(&control, ColdJob("a"));
+  TuningSession* control_b = MustRegisterAndRun(&control, ColdJob("b"));
+  MustRegisterAndRun(&control, AppendJob("a"));
+  const std::string control_hash_a = DataHash(*control_a);
+  const std::string control_hash_b = DataHash(*control_b);
+  // c's data after each of its jobs, indexed by jobs_run.
+  std::vector<std::string> control_hash_c(1);
+  for (int i = 0; i < kMaxAppendJobs; ++i) {
+    TuningSession* c =
+        MustRegisterAndRun(&control, i == 0 ? ColdJob("c") : AppendJob("c"));
+    control_hash_c.push_back(DataHash(*c));
+  }
+  MustRegisterAndRun(&control, AppendJob("b"));
+  const long long control_b_warm = control_b->last_job_trainings();
+  const std::string control_curves_b = CurvesDump(*control_b);
+  const std::string control_hash_b_final = DataHash(*control_b);
+
+  const std::string base = PreRestartDir();
+  for (const std::string& point : store::MaintenanceCrashPoints()) {
+    SCOPED_TRACE("crash point: " + point);
+    store::FaultInjector::Global().Reset();
+    std::string tag = point;
+    for (char& ch : tag) {
+      if (ch == '.') ch = '_';
+    }
+    const std::string dir = FreshDir("deferred_" + tag);
+    const std::string image = FreshDir("deferred_image_" + tag);
+    ST_CHECK_OK(CopyDir(base, dir));
+
+    {
+      Restarted live(dir);
+      store::MaintenancePolicy policy;  // no trigger: only the owed checkpoint
+      policy.interval_ms = 5;
+      policy.retain_snapshots = 0;  // reach the snapshot-retirement phase
+      store::MaintenanceManager maintenance(
+          live.store.get(), policy,
+          [&live] { return live.manager.DurableSnapshot(); });
+      bool image_taken = false;
+      store::FaultInjector::Global().ArmHook(point, [&] {
+        const Status copied = CopyDir(dir, image);
+        if (!copied.ok()) return copied;
+        image_taken = true;
+        return Status::Internal("injected crash at " + point);
+      });
+      Appender appender(&live.manager, kMaxAppendJobs);
+      maintenance.Start();
+      // The owed checkpoint dies at the point, counts the failure, and its
+      // retry one interval later succeeds while appends keep flowing.
+      AwaitCheckpoint(maintenance);
+      appender.Stop();
+      maintenance.Stop();
+      EXPECT_EQ(maintenance.stats().failures, 1u);
+      EXPECT_EQ(maintenance.stats().checkpoints, 1u);
+      ASSERT_GE(store::FaultInjector::Global().HitCount(point), 1u)
+          << "armed crash point was never reached — stale registry?";
+      ASSERT_TRUE(image_taken);
+      store::FaultInjector::Global().Reset();
+      TuningSession* c = live.manager.Find("c");
+      ASSERT_NE(c, nullptr);
+      EXPECT_EQ(DataHash(*c), control_hash_c[static_cast<size_t>(
+                                  appender.jobs())]);
+    }
+
+    // --- recover the crash image ---
+    Restarted recovered(image);
+    TuningSession* a = recovered.manager.Find("a");
+    TuningSession* b = recovered.manager.Find("b");
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(a->phase(), SessionPhase::kDone);
+    EXPECT_EQ(b->phase(), SessionPhase::kDone);
+    EXPECT_EQ(a->Snapshot().GetInt("jobs_run"), 2);
+    EXPECT_EQ(b->Snapshot().GetInt("jobs_run"), 1);
+    EXPECT_EQ(DataHash(*a), control_hash_a);
+    EXPECT_EQ(DataHash(*b), control_hash_b);
+    // c was mid-history at the crash: whatever finished job it recovers at
+    // matches the control after the same number of jobs.
+    TuningSession* c = recovered.manager.Find("c");
+    if (c != nullptr && c->phase() == SessionPhase::kDone) {
+      const long long jobs_run = c->Snapshot().GetInt("jobs_run");
+      ASSERT_GE(jobs_run, 1);
+      ASSERT_LE(jobs_run, kMaxAppendJobs);
+      EXPECT_EQ(DataHash(*c), control_hash_c[static_cast<size_t>(jobs_run)]);
+    }
+
+    // Serving continues on the recovered state exactly as in the control.
+    MustRegisterAndRun(&recovered.manager, AppendJob("b"));
+    EXPECT_EQ(b->last_job_trainings(), control_b_warm);
+    EXPECT_EQ(CurvesDump(*b), control_curves_b);
+    EXPECT_EQ(DataHash(*b), control_hash_b_final);
+
+    // The live directory, whose retry succeeded, recovers every session.
+    Restarted reopened(dir);
+    ASSERT_NE(reopened.manager.Find("a"), nullptr);
+    EXPECT_EQ(DataHash(*reopened.manager.Find("a")), control_hash_a);
+    EXPECT_EQ(DataHash(*reopened.manager.Find("b")), control_hash_b);
+  }
+}
+
+TEST(StoreMaintenanceTest, DeferredStartupCheckpointEioIsCountedAndRetried) {
+  InjectorReset guard;
+  obs::Counter* failures = obs::MetricsRegistry::Global().counter(
+      "store_maintenance_failures_total");
+  const double failures_before = failures->Value();
+  const std::string dir = FreshDir("deferred_eio");
+  ST_CHECK_OK(CopyDir(PreRestartDir(), dir));
+  const Result<store::RecoveredState> before = store::ReadStateDir(dir);
+  ST_CHECK_OK(before.status());
+  ASSERT_GT(before->tail.size(), 0u);
+
+  Restarted live(dir);
+  store::MaintenancePolicy policy;  // no trigger: only the owed checkpoint
+  policy.interval_ms = 5;
+  EXPECT_FALSE(policy.Enabled());
+  store::MaintenanceManager maintenance(
+      live.store.get(), policy,
+      [&live] { return live.manager.DurableSnapshot(); });
+  EXPECT_FALSE(maintenance.CheckpointDue()) << "owed is not a trigger";
+  store::FaultInjector::Global().ArmFailure(
+      store::fault::kSnapshotWriteTmp, Status::Internal("injected EIO"), 0,
+      1);
+  maintenance.Start();
+  // Serving continues while the owed checkpoint fails and retries.
+  MustRegisterAndRun(&live.manager, ColdJob("c"));
+  AwaitCheckpoint(maintenance);
+  EXPECT_EQ(maintenance.stats().failures, 1u);
+  EXPECT_EQ(failures->Value(), failures_before + 1.0);
+  // The recovered chain is retired: only the generation opened by the
+  // checkpoint's rotate is left.
+  EXPECT_EQ(CountFilesWithPrefix(dir, "journal-"), 1u);
+  // The owed checkpoint freed the recovered tree; stats still report it.
+  EXPECT_TRUE(live.store->recovered().snapshot.is_null());
+  EXPECT_TRUE(live.store->recovered().tail.empty());
+  const json::Value store_stats = live.store->StatsJson();
+  EXPECT_TRUE(store_stats.GetBool("recovered_snapshot"));
+  EXPECT_EQ(store_stats.GetInt("recovered_records"),
+            static_cast<long long>(before->tail.size()));
+
+  // With no trigger, later jobs start no further checkpoint.
+  for (int i = 0; i < 3; ++i) {
+    MustRegisterAndRun(&live.manager, AppendJob("c"));
+    maintenance.NotifyJobFinished();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  maintenance.Stop();
+  EXPECT_EQ(maintenance.stats().checkpoints, 1u);
+  EXPECT_EQ(maintenance.stats().jobs_since_checkpoint, 3u);
+
+  live.store.reset();
+  Restarted reopened(dir);
+  ASSERT_NE(reopened.manager.Find("a"), nullptr);
+  ASSERT_NE(reopened.manager.Find("b"), nullptr);
+  TuningSession* c = reopened.manager.Find("c");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->Snapshot().GetInt("jobs_run"), 4);
+}
+
+// ---------------------------------------------------------------------------
 // Injected-failure degradation: disk full / EIO during maintenance must
 // leave the previous snapshot + journal chain intact and serving untouched.
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/fs_util.h"
+#include "common/random.h"
 #include "gtest/gtest.h"
 #include "store/journal.h"
 #include "store/snapshot.h"
@@ -57,6 +58,49 @@ TEST(FsUtilTest, Crc32KnownVectorsAndChunking) {
   EXPECT_EQ(Crc32(std::string()), 0u);
   const uint32_t partial = Crc32(std::string("12345"));
   EXPECT_EQ(Crc32(std::string("6789"), partial), 0xcbf43926u);
+}
+
+// The CRC-32 definition, one byte at a time: the reference the sliced
+// implementation must match value for value.
+uint32_t BytewiseCrc32(const unsigned char* data, size_t size,
+                       uint32_t seed) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(FsUtilTest, Crc32MatchesBytewiseReferenceAtEveryAlignment) {
+  Rng rng(0xC4C32);
+  std::vector<unsigned char> buffer(4096 + 16);
+  for (unsigned char& b : buffer) {
+    b = static_cast<unsigned char>(rng.UniformInt(uint64_t{256}));
+  }
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t size = 0; size <= 67; ++size) {
+      const unsigned char* p = buffer.data() + offset;
+      ASSERT_EQ(Crc32(p, size), BytewiseCrc32(p, size, 0))
+          << "offset " << offset << " size " << size;
+    }
+    const size_t big = 4096 - offset % 8;
+    const unsigned char* p = buffer.data() + offset;
+    ASSERT_EQ(Crc32(p, big), BytewiseCrc32(p, big, 0)) << offset;
+    // Chunked at an odd split: the seed carries the running value.
+    const uint32_t head = Crc32(p, 13 + offset);
+    EXPECT_EQ(Crc32(p + 13 + offset, big - 13 - offset, head),
+              BytewiseCrc32(p, big, 0));
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t offset = static_cast<size_t>(rng.UniformInt(uint64_t{16}));
+    const size_t size = static_cast<size_t>(rng.UniformInt(uint64_t{4097}));
+    const uint32_t seed = static_cast<uint32_t>(rng());
+    const unsigned char* p = buffer.data() + offset;
+    ASSERT_EQ(Crc32(p, size, seed), BytewiseCrc32(p, size, seed));
+  }
 }
 
 TEST(FsUtilTest, WriteFileAtomicReplacesAndLeavesNoTemp) {

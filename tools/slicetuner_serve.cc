@@ -15,6 +15,7 @@
 //
 // --state-dir makes sessions durable (src/store/, docs/STATE.md): startup
 // replays the directory's snapshot + journal tail so sessions resume warm,
+// then listens while a maintenance thread writes the startup checkpoint;
 // the `snapshot`/`restore` admin verbs work, and a final checkpoint is
 // written on graceful shutdown.
 //
