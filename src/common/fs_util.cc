@@ -48,7 +48,13 @@ Result<std::string> ReadFileToString(const std::string& path) {
   if (f == nullptr) {
     return Status::NotFound("ReadFileToString: cannot open " + path);
   }
+  // One read sized by fstat; the loop only picks up bytes appended since.
   std::string content;
+  struct stat st;
+  if (::fstat(::fileno(f), &st) == 0 && st.st_size > 0) {
+    content.resize(static_cast<size_t>(st.st_size));
+    content.resize(std::fread(content.data(), 1, content.size(), f));
+  }
   char buf[4096];
   size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {

@@ -191,7 +191,7 @@ const std::string& Value::string_value() const {
   return type_ == Type::kString ? string_ : kEmpty;
 }
 
-void Value::Set(const std::string& key, Value value) {
+void Value::Set(std::string key, Value value) {
   if (type_ != Type::kObject) {
     *this = Object();
   }
@@ -201,7 +201,7 @@ void Value::Set(const std::string& key, Value value) {
       return;
     }
   }
-  members_.emplace_back(key, std::move(value));
+  members_.emplace_back(std::move(key), std::move(value));
 }
 
 const Value* Value::Find(const std::string& key) const {
@@ -326,7 +326,7 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit Parser(std::string_view text) : text_(text) {}
 
   Result<Value> ParseDocument() {
     Value value;
@@ -432,7 +432,7 @@ class Parser {
       if (!Consume(':')) return Fail("expected ':' after object key");
       Value value;
       ST_RETURN_NOT_OK(ParseValue(&value, depth + 1));
-      out->Set(key, std::move(value));
+      out->Set(std::move(key), std::move(value));
       SkipWhitespace();
       if (Consume('}')) return Status::OK();
       if (!Consume(',')) return Fail("expected ',' or '}' in object");
@@ -498,7 +498,7 @@ class Parser {
           if (next == '"' || next == '\\' || next < 0x20) break;
           ++run_end;
         }
-        out->append(text_, pos_, run_end - pos_);
+        out->append(text_.data() + pos_, run_end - pos_);
         pos_ = run_end;
         continue;
       }
@@ -617,13 +617,13 @@ class Parser {
     return Status::OK();
   }
 
-  const std::string& text_;
+  const std::string_view text_;
   size_t pos_ = 0;
 };
 
 }  // namespace
 
-Result<Value> Value::Parse(const std::string& text) {
+Result<Value> Value::Parse(std::string_view text) {
   Parser parser(text);
   return parser.ParseDocument();
 }

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -87,7 +88,7 @@ class Value {
 
   // --- objects ---
   /// Adds or overwrites `key` (overwrite keeps the original position).
-  void Set(const std::string& key, Value value);
+  void Set(std::string key, Value value);
   /// Member lookup; nullptr when absent (or not an object).
   const Value* Find(const std::string& key) const;
   bool Has(const std::string& key) const { return Find(key) != nullptr; }
@@ -116,7 +117,7 @@ class Value {
   /// Parses one JSON document. The whole input must be consumed (trailing
   /// whitespace allowed). Depth is bounded to keep hostile input from
   /// overflowing the stack.
-  static Result<Value> Parse(const std::string& text);
+  static Result<Value> Parse(std::string_view text);
 
  private:
   void DumpTo(std::string* out, int indent, int depth) const;

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "obs/timer.h"
 
 namespace slicetuner {
 

@@ -8,6 +8,7 @@
 #include "curvefit/fitter.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
+#include "obs/timer.h"
 
 namespace slicetuner {
 namespace engine {
@@ -63,18 +64,6 @@ EngineMetrics& Metrics() {
   static EngineMetrics& metrics = *new EngineMetrics();
   return metrics;
 }
-
-// RAII flight-recorder event: one `estimate` record per Estimate() call,
-// arg = elapsed ns, stamped with the calling thread's trace context (the
-// dispatcher installs the job's trace before entering the engine).
-struct RecordEstimateEvent {
-  uint64_t start = obs::MonotonicNanos();
-  ~RecordEstimateEvent() {
-    obs::Recorder::Global().RecordHere(
-        obs::EventKind::kEstimate,
-        static_cast<int64_t>(obs::MonotonicNanos() - start));
-  }
-};
 
 constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr uint64_t kFnvPrime = 0x100000001b3ull;
@@ -214,8 +203,11 @@ Result<CurveEstimationResult> CurveEstimationEngine::Estimate(
     const Dataset& train, const Dataset& validation, int num_slices,
     const ModelSpec& model_spec, const TrainerOptions& trainer,
     const LearningCurveOptions& options) {
-  obs::ScopedTimer estimate_timer(Metrics().estimate_ns);
-  RecordEstimateEvent record_event;
+  // One `estimate` record per call, stamped with the calling thread's trace
+  // context (the dispatcher installs the job's trace before entering the
+  // engine).
+  obs::ScopedTimer estimate_timer(Metrics().estimate_ns,
+                                  obs::EventKind::kEstimate);
   LearningCurveOptions effective = options;
   if (options_.num_threads != 0) effective.num_threads = options_.num_threads;
 

@@ -235,24 +235,6 @@ class MetricsRegistry {
   std::vector<std::unique_ptr<Entry>> entries_;
 };
 
-/// RAII wall-time recorder: records MonotonicNanos elapsed between
-/// construction and destruction into a histogram. A null histogram is a
-/// no-op, so call sites can instrument unconditionally.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram* histogram)
-      : histogram_(histogram), start_(MonotonicNanos()) {}
-  ~ScopedTimer() {
-    if (histogram_ != nullptr) histogram_->Record(MonotonicNanos() - start_);
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram* histogram_;
-  uint64_t start_;
-};
-
 }  // namespace obs
 }  // namespace slicetuner
 

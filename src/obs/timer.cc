@@ -1,9 +1,9 @@
-#include "obs/span.h"
+#include "obs/timer.h"
 
 namespace slicetuner {
 namespace obs {
 
-void Span::RecordStage(const std::string& stage, uint64_t ns) {
+void Span::RecordStage(std::string_view stage, uint64_t ns) {
   for (auto& entry : stages_) {
     if (entry.first == stage) {
       entry.second += ns;
@@ -13,13 +13,13 @@ void Span::RecordStage(const std::string& stage, uint64_t ns) {
   stages_.emplace_back(stage, ns);
 }
 
-json::Value Span::ToJson() const {
+json::Value Span::ToJson(uint64_t total_ns) const {
   json::Value out = json::Value::Object();
   out.Set("name", name_);
-  out.Set("total_ms", static_cast<double>(ElapsedNanos()) / 1e6);
+  out.Set("total_ms", NanosToMillis(total_ns));
   json::Value stages = json::Value::Object();
   for (const auto& entry : stages_) {
-    stages.Set(entry.first + "_ms", static_cast<double>(entry.second) / 1e6);
+    stages.Set(entry.first + "_ms", NanosToMillis(entry.second));
   }
   out.Set("stages", std::move(stages));
   return out;

@@ -21,6 +21,7 @@
 #include "common/trace_context.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
+#include "obs/timer.h"
 #include "serve/serve_metrics.h"
 
 namespace slicetuner {
@@ -77,25 +78,20 @@ TuningServer::~TuningServer() {
 
 Status TuningServer::OpenStateDir() {
   ServeMetrics& metrics = ServeMetrics::Get();
-  const uint64_t replay_start_ns = obs::MonotonicNanos();
-  uint64_t phase_start_ns = replay_start_ns;
-  // Sets `gauge` to the milliseconds since the previous phase ended.
-  const auto end_phase = [&phase_start_ns](obs::Gauge* gauge) {
-    const uint64_t now = obs::MonotonicNanos();
-    gauge->Set(static_cast<double>(now - phase_start_ns) / 1e6);
-    phase_start_ns = now;
-  };
+  obs::ScopedTimer replay_timer;
+  obs::ScopedTimer open_timer;
   ST_ASSIGN_OR_RETURN(store_, store::DurableStore::Open(options_.state_dir));
-  end_phase(metrics.replay_open_ms);
+  metrics.replay_open_ms->Set(obs::NanosToMillis(open_timer.Stop()));
   // Recovery order matters: materialize sessions from the recovered
   // snapshot + journal tail first, then attach the store (so replay itself
   // journals nothing). The checkpoint that covers everything restored and
   // retires the recovered journal chain is owed to the maintenance thread.
+  obs::ScopedTimer restore_timer;
   ST_ASSIGN_OR_RETURN(
       restore_report_,
       sessions_.RestoreFromState(store_->recovered(), store_.get(),
                                  /*skip_existing=*/false));
-  end_phase(metrics.replay_restore_ms);
+  metrics.replay_restore_ms->Set(obs::NanosToMillis(restore_timer.Stop()));
   sessions_.AttachStore(store_.get());
   store_->SetTailWarnBytes(
       options_.journal_tail_warn_bytes > 0
@@ -106,8 +102,7 @@ Status TuningServer::OpenStateDir() {
       [this] { return sessions_.DurableSnapshot(); });
   sessions_.SetJobFinishedCallback(
       [this] { maintenance_->NotifyJobFinished(); });
-  metrics.replay_ms->Set(
-      static_cast<double>(obs::MonotonicNanos() - replay_start_ns) / 1e6);
+  metrics.replay_ms->Set(obs::NanosToMillis(replay_timer.Stop()));
   return Status::OK();
 }
 
@@ -535,10 +530,9 @@ void TuningServer::HandleLine(Worker* worker, Connection* conn,
   requests_handled_.fetch_add(1, std::memory_order_relaxed);
   worker->requests->Add();
   ServeMetrics::Get().requests->Add();
-  const uint64_t parse_start_ns = obs::MonotonicNanos();
+  obs::ScopedTimer parse_timer(ServeMetrics::Get().parse_ns);
   const Result<Request> request = Request::Parse(std::string(line));
-  ServeMetrics::Get().parse_ns->Record(obs::MonotonicNanos() -
-                                       parse_start_ns);
+  parse_timer.Stop();
   if (!request.ok()) {
     conn->QueueLine(ErrorResponse(request.status()).Dump());
     return;

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/parallel_for.h"
-#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/trace_context.h"
 #include "core/baselines.h"
@@ -15,7 +14,7 @@
 #include "curvefit/power_law.h"
 #include "engine/curve_engine.h"
 #include "obs/recorder.h"
-#include "obs/span.h"
+#include "obs/timer.h"
 #include "serve/serve_metrics.h"
 #include "sim/scenario.h"
 #include "sim/trace.h"
@@ -509,6 +508,9 @@ Status TuningSession::RunJob(const std::function<void()>& on_resolved) {
     }
     if (cancel_requested_.load(std::memory_order_relaxed)) {
       last_status_ = Status::Cancelled("cancelled before start");
+      // This job ran nothing, so it has no tree; the previous job's tree
+      // must not answer for it (its done frame would carry another trace).
+      last_trace_tree_ = json::Value();
       SessionState next = state_;
       next.phase = SessionPhase::kCancelled;
       next.error = last_status_.ToString();
@@ -536,12 +538,11 @@ Status TuningSession::RunJob(const std::function<void()>& on_resolved) {
   obs::Recorder::Global().RecordHere(obs::EventKind::kJobStart,
                                      static_cast<int64_t>(queue_wait_ns));
 
-  Stopwatch timer;
-  const Status status = [&] {
-    obs::ScopedTimer run_timer(ServeMetrics::Get().run_ns);
-    return ExecuteJob(job);
-  }();
-  const double wall = timer.ElapsedSeconds();
+  // One measurement of the job feeds serve_stage_ns{stage="run"},
+  // last_job_wall_seconds, the tree's total_ms and the job_done event.
+  obs::ScopedTimer run_timer(ServeMetrics::Get().run_ns);
+  const Status status = ExecuteJob(job);
+  const uint64_t run_ns = run_timer.Stop();
   // Read the engine's counters and cache while no estimation is running
   // (tuner_ is only touched from this thread); polls then read the copy
   // without touching the engine lock.
@@ -576,7 +577,7 @@ Status TuningSession::RunJob(const std::function<void()>& on_resolved) {
     next.rounds_completed += job_.rounds;
     next.total_trainings += job_.trainings;
     next.last_job_trainings = job_.trainings;
-    next.last_job_wall_seconds = wall;
+    next.last_job_wall_seconds = static_cast<double>(run_ns) / 1e9;
     next.next_round = job_.next_round;
     if (!job_.curve_b.empty()) {
       next.curve_b = std::move(job_.curve_b);
@@ -598,21 +599,21 @@ Status TuningSession::RunJob(const std::function<void()>& on_resolved) {
     tree.Set("name", "job");
     tree.Set("trace_id", trace::FormatTraceId(
                              trace_id_.load(std::memory_order_relaxed)));
-    tree.Set("total_ms", wall * 1000.0);
-    tree.Set("queue_wait_ms", static_cast<double>(queue_wait_ns) / 1e6);
+    tree.Set("total_ms", obs::NanosToMillis(run_ns));
+    tree.Set("queue_wait_ms", obs::NanosToMillis(queue_wait_ns));
     json::Value rounds = json::Value::Array();
     for (json::Value& span : job_round_spans_) {
       rounds.Append(std::move(span));
     }
     job_round_spans_.clear();
     tree.Set("rounds", std::move(rounds));
-    tree.Set("closing_ms", static_cast<double>(closing_ns) / 1e6);
+    tree.Set("closing_ms", obs::NanosToMillis(closing_ns));
     last_trace_tree_ = std::move(tree);
     if (on_resolved) on_resolved();
     phase_cv_.notify_all();
   }
-  obs::Recorder::Global().RecordHere(
-      obs::EventKind::kJobDone, static_cast<int64_t>(wall * 1e9));
+  obs::Recorder::Global().RecordHere(obs::EventKind::kJobDone,
+                                     static_cast<int64_t>(run_ns));
   // Group commit: one fsync makes the whole job's records (acquires +
   // finish) durable together.
   if (store_ != nullptr) {
@@ -701,9 +702,10 @@ Status TuningSession::RunRounds(const JobSpec& job) {
     obs::Recorder::Global().RecordHere(obs::EventKind::kRoundStart,
                                        job_.next_round);
 
-    // One span per round: stage timers attribute the round's wall time to
-    // estimate / plan / acquire, feed the process-wide serve_round_stage_ns
-    // histograms, and the summary rides the round's progress frame.
+    // One span per round: each stage's one timer feeds its stage of the
+    // span, its serve_round_stage_ns histogram and (plan, acquire) its
+    // recorder event; the summary rides the round's progress frame.
+    obs::ScopedTimer round_timer;
     obs::Span round_span("round");
     sim::RoundTrace round;
     round.round = job_.next_round;
@@ -713,8 +715,8 @@ Status TuningSession::RunRounds(const JobSpec& job) {
     if (curve_based) {
       CurveEstimationResult curves;
       {
-        obs::StageTimer estimate_timer(
-            &round_span, "estimate", ServeMetrics::Get().round_estimate_ns);
+        obs::ScopedTimer estimate_timer(ServeMetrics::Get().round_estimate_ns,
+                                        std::nullopt, &round_span, "estimate");
         ST_ASSIGN_OR_RETURN(curves, tuner_->EstimateCurves());
       }
       round.model_trainings = curves.model_trainings;
@@ -726,16 +728,12 @@ Status TuningSession::RunRounds(const JobSpec& job) {
       }
       OneShotPlan plan;
       {
-        const uint64_t plan_start = obs::MonotonicNanos();
-        obs::StageTimer plan_timer(&round_span, "plan",
-                                   ServeMetrics::Get().round_plan_ns);
+        obs::ScopedTimer plan_timer(ServeMetrics::Get().round_plan_ns,
+                                    obs::EventKind::kPlan, &round_span, "plan");
         ST_ASSIGN_OR_RETURN(
             plan,
             PlanOneShotWithCurves(curves.slices, tuner_->SliceSizes(), costs,
                                   round_budget, tuner_->options().lambda));
-        obs::Recorder::Global().RecordHere(
-            obs::EventKind::kPlan,
-            static_cast<int64_t>(obs::MonotonicNanos() - plan_start));
       }
       allocation = std::move(plan.examples);
     } else {
@@ -748,9 +746,9 @@ Status TuningSession::RunRounds(const JobSpec& job) {
     }
 
     {
-      const uint64_t acquire_start = obs::MonotonicNanos();
-      obs::StageTimer acquire_timer(&round_span, "acquire",
-                                    ServeMetrics::Get().round_acquire_ns);
+      obs::ScopedTimer acquire_timer(ServeMetrics::Get().round_acquire_ns,
+                                     obs::EventKind::kAcquire, &round_span,
+                                     "acquire");
       for (size_t s = 0; s < allocation.size(); ++s) {
         if (allocation[s] <= 0) continue;
         const Dataset batch = source_->Acquire(
@@ -758,9 +756,6 @@ Status TuningSession::RunRounds(const JobSpec& job) {
         ST_RETURN_NOT_OK(tuner_->AppendTrainingData(batch));
         round.spent += static_cast<double>(allocation[s]) * costs[s];
       }
-      obs::Recorder::Global().RecordHere(
-          obs::EventKind::kAcquire,
-          static_cast<int64_t>(obs::MonotonicNanos() - acquire_start));
     }
     round.acquired = std::move(allocation);
     const std::vector<size_t> sizes = tuner_->SliceSizes();
@@ -777,7 +772,7 @@ Status TuningSession::RunRounds(const JobSpec& job) {
       rows_ = static_cast<long long>(tuner_->train().size());
       frame = ProgressFrame(name_, frames_.size(),
                             sim::RoundTraceToJson(round));
-      json::Value span_json = round_span.ToJson();
+      json::Value span_json = round_span.ToJson(round_timer.Stop());
       span_json.Set("round", round.round);
       job_round_spans_.push_back(span_json);
       frame.Set("span", std::move(span_json));
@@ -803,10 +798,9 @@ Status TuningSession::RunRounds(const JobSpec& job) {
   // rows to one slice finds every *other* slice already cached and rides
   // the engine's partial refit instead of a cold estimation.
   if (curve_based) {
-    const uint64_t closing_start = obs::MonotonicNanos();
+    obs::ScopedTimer closing_timer(ServeMetrics::Get().closing_estimate_ns);
     const Result<CurveEstimationResult> closing = tuner_->EstimateCurves();
-    const uint64_t closing_ns = obs::MonotonicNanos() - closing_start;
-    ServeMetrics::Get().closing_estimate_ns->Record(closing_ns);
+    const uint64_t closing_ns = closing_timer.Stop();
     ST_RETURN_NOT_OK(closing.status());
     const CurveEstimationResult& curves = *closing;
     std::lock_guard<std::mutex> lock(mu_);

@@ -145,7 +145,8 @@ class TuningSession {
 
   /// Span tree of the last completed job: {"name":"job","trace_id":...,
   /// "total_ms":X,"rounds":[<round span>...]}. Attached to the done frame
-  /// and returned by poll. Null until a job finishes.
+  /// and returned by poll. Null until a job runs, and after a job that was
+  /// cancelled before it started.
   json::Value TraceTree() const;
 
   /// Flags the session for cancellation: a queued session resolves

@@ -4,6 +4,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "common/fs_util.h"
@@ -46,7 +47,7 @@ std::string CrcHex(uint32_t crc) {
 
 // Validates one complete "crc8hex payload" line (no newline). Returns the
 // parsed payload or an error describing the failed check.
-Result<json::Value> DecodeLine(const std::string& line) {
+Result<json::Value> DecodeLine(std::string_view line) {
   if (line.size() < kHeaderLen || line[kCrcHexLen] != ' ') {
     return Status::InvalidArgument("journal record header malformed");
   }
@@ -54,16 +55,14 @@ Result<json::Value> DecodeLine(const std::string& line) {
   if (!ParseCrcHex(line.data(), &expected)) {
     return Status::InvalidArgument("journal record CRC not hex");
   }
-  const char* payload = line.data() + kHeaderLen;
-  const size_t payload_len = line.size() - kHeaderLen;
-  const uint32_t actual = Crc32(payload, payload_len);
+  const std::string_view payload = line.substr(kHeaderLen);
+  const uint32_t actual = Crc32(payload.data(), payload.size());
   if (actual != expected) {
     return Status::InvalidArgument(
         StrFormat("journal record CRC mismatch (stored %08x, computed %08x)",
                   expected, actual));
   }
-  ST_ASSIGN_OR_RETURN(json::Value value,
-                      json::Value::Parse(std::string(payload, payload_len)));
+  ST_ASSIGN_OR_RETURN(json::Value value, json::Value::Parse(payload));
   if (!value.is_object()) {
     return Status::InvalidArgument("journal record payload not an object");
   }
@@ -102,7 +101,7 @@ Result<JournalReadResult> ReadJournal(const std::string& path) {
       if (damage_detail.empty()) damage_detail = "unterminated final record";
       break;
     }
-    const std::string line = content->substr(pos, newline - pos);
+    const std::string_view line(content->data() + pos, newline - pos);
     const Result<json::Value> record = DecodeLine(line);
     if (!record.ok()) {
       if (!damaged) {

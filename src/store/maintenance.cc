@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "obs/metrics.h"
+#include "obs/timer.h"
 
 namespace slicetuner {
 namespace store {
@@ -95,7 +96,7 @@ bool MaintenanceManager::CheckpointDue() const {
 }
 
 Status MaintenanceManager::RunOnce() {
-  const uint64_t start_ns = obs::MonotonicNanos();
+  obs::ScopedTimer checkpoint_timer;
   size_t jobs_at_start;
   bool owed;
   {
@@ -109,7 +110,7 @@ Status MaintenanceManager::RunOnce() {
   if (owed) store_->ReleaseRecovered();
   const Result<CheckpointReport> report =
       store_->CheckpointOnline(provider_, policy_.retain_snapshots);
-  const uint64_t elapsed_ns = obs::MonotonicNanos() - start_ns;
+  const uint64_t elapsed_ns = checkpoint_timer.Stop();
 
   std::lock_guard<std::mutex> lock(mu_);
   if (!report.ok()) {
@@ -125,7 +126,7 @@ Status MaintenanceManager::RunOnce() {
   ++stats_.checkpoints;
   stats_.journals_retired += report->journals_retired;
   stats_.snapshots_retired += report->snapshots_retired;
-  stats_.last_checkpoint_ms = static_cast<double>(elapsed_ns) / 1e6;
+  stats_.last_checkpoint_ms = obs::NanosToMillis(elapsed_ns);
   Metrics().checkpoints->Add();
   Metrics().journals_retired->Add(report->journals_retired);
   Metrics().snapshots_retired->Add(report->snapshots_retired);

@@ -1,6 +1,7 @@
 #include "store/snapshot.h"
 
 #include <cstdio>
+#include <string_view>
 
 #include "common/fs_util.h"
 #include "common/string_util.h"
@@ -67,13 +68,14 @@ Result<json::Value> ReadSnapshotFile(const std::string& path) {
                   "speaks v%d)",
                   path.c_str(), version, kSnapshotVersion));
   }
-  const std::string payload = content.substr(newline + 1);
+  const std::string_view payload =
+      std::string_view(content).substr(newline + 1);
   if (payload.size() != payload_bytes) {
     return Status::Internal(
         StrFormat("snapshot %s: payload is %zu bytes, header promises %zu",
                   path.c_str(), payload.size(), payload_bytes));
   }
-  const uint32_t actual = Crc32(payload);
+  const uint32_t actual = Crc32(payload.data(), payload.size());
   if (actual != crc) {
     return Status::Internal(
         StrFormat("snapshot %s: CRC mismatch (stored %08x, computed %08x)",

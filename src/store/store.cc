@@ -12,6 +12,7 @@
 #include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
+#include "obs/timer.h"
 #include "store/fault_injector.h"
 #include "store/snapshot.h"
 

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.h"
@@ -337,6 +338,40 @@ TEST(JsonValueTest, ObjectKeepsInsertionOrderAndOverwrites) {
   EXPECT_EQ(object.Dump(), "{\"z\":3,\"a\":2}");
   EXPECT_EQ(object.GetInt("z"), 3);
   EXPECT_EQ(object.Find("missing"), nullptr);
+}
+
+TEST(JsonValueTest, ParsedDuplicateKeyKeepsFirstPositionLastValue) {
+  const Result<Value> parsed =
+      Value::Parse(R"({"k":1,"x":{"n":1,"n":[2]},"k":"last"})");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->Dump(), R"({"k":"last","x":{"n":[2]}})");
+  ASSERT_EQ(parsed->members().size(), 2u);
+  EXPECT_EQ(parsed->members()[0].first, "k");
+
+  // Set takes its key by value: a caller's lvalue key is left intact.
+  Value object = Value::Object();
+  const std::string key = "k";
+  object.Set(key, 1);
+  object.Set(key, 2);
+  EXPECT_EQ(key, "k");
+  EXPECT_EQ(object.Dump(), R"({"k":2})");
+}
+
+TEST(JsonValueTest, ParseReadsOnlyTheGivenView) {
+  // The bytes around the view are valid number digits: a parser that read
+  // past the view's end would turn 123 into 1234.
+  const std::string buffer = "9[123]4";
+  const Result<Value> parsed =
+      Value::Parse(std::string_view(buffer).substr(1, 5));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->Dump(), "[123]");
+  const Result<Value> number =
+      Value::Parse(std::string_view(buffer).substr(2, 3));
+  ASSERT_TRUE(number.ok()) << number.status();
+  EXPECT_EQ(number->int_value(), 123);
+  const Result<Value> fraction = Value::Parse(std::string_view("1.5e3", 3));
+  ASSERT_TRUE(fraction.ok()) << fraction.status();
+  EXPECT_EQ(fraction->number_value(), 1.5);
 }
 
 TEST(JsonValueTest, EscapeHandling) {

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,7 +23,7 @@
 #include "common/trace_context.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
-#include "obs/span.h"
+#include "obs/timer.h"
 
 namespace slicetuner {
 namespace obs {
@@ -354,9 +355,9 @@ TEST(SpanTest, StagesAccumulateAndSerialize) {
   span.RecordStage("acquire", 1'000'000);
   span.RecordStage("estimate", 3'000'000);  // accumulates onto estimate
 
-  const json::Value doc = span.ToJson();
+  const json::Value doc = span.ToJson(/*total_ns=*/7'000'000);
   EXPECT_EQ(doc.GetString("name"), "round");
-  EXPECT_GE(doc.GetDouble("total_ms"), 0.0);
+  EXPECT_DOUBLE_EQ(doc.GetDouble("total_ms"), 7.0);
   const json::Value* stages = doc.Find("stages");
   ASSERT_NE(stages, nullptr);
   EXPECT_DOUBLE_EQ(stages->GetDouble("estimate_ms"), 5.0);
@@ -364,29 +365,71 @@ TEST(SpanTest, StagesAccumulateAndSerialize) {
   EXPECT_FALSE(stages->Has("plan_ms"));  // never recorded -> absent
 }
 
-TEST(SpanTest, StageTimerFeedsSpanAndHistogram) {
-  Span span("op");
+// ------------------------------------------------------------- ScopedTimer
+//
+// The timer records into Recorder::Global(); each test runs under its own
+// trace id and reads back only that trace's events.
+
+std::vector<RecordedEvent> TraceEvents(uint64_t trace_id) {
+  return Recorder::Global().Snapshot(/*session_filter=*/"", trace_id);
+}
+
+TEST(ScopedTimerTest, FeedsEverySinkOnceWithOneValue) {
+  constexpr uint64_t kTrace = 0x71e3000000000001ull;
   Histogram histogram;
+  Span span("op");
+  uint64_t elapsed = 0;
   {
-    StageTimer timer(&span, "work", &histogram);
-  }
-  const json::Value doc = span.ToJson();
+    trace::TraceScope scope(kTrace, "timer");
+    ScopedTimer timer(&histogram, EventKind::kPlan, &span, "work");
+    elapsed = timer.Stop();
+    EXPECT_EQ(timer.Stop(), elapsed);  // later stops feed nothing
+  }  // nor does the destructor of a stopped timer
+
+  const HistogramSnapshot snap = histogram.Snapshot();
+  EXPECT_EQ(snap.count, 1u);
+  EXPECT_EQ(snap.sum, static_cast<double>(elapsed));
+  const std::vector<RecordedEvent> events = TraceEvents(kTrace);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].kind, EventKind::kPlan);
+  EXPECT_EQ(events[0].arg, static_cast<int64_t>(elapsed));
+  EXPECT_EQ(events[0].session, "timer");
+  const json::Value doc = span.ToJson(elapsed);
   const json::Value* stages = doc.Find("stages");
   ASSERT_NE(stages, nullptr);
-  EXPECT_TRUE(stages->Has("work_ms"));
-  EXPECT_EQ(histogram.Snapshot().count, 1u);
+  EXPECT_EQ(stages->GetDouble("work_ms"), NanosToMillis(elapsed));
 }
 
-TEST(SpanTest, StageTimerToleratesNulls) {
-  { StageTimer timer(nullptr, "ignored", nullptr); }  // must not crash
-  { ScopedTimer timer(nullptr); }
-}
-
-TEST(ScopedTimerTest, RecordsOneSample) {
+TEST(ScopedTimerTest, DestructorStopsAnUnstoppedTimer) {
+  constexpr uint64_t kTrace = 0x71e3000000000002ull;
   Histogram histogram;
-  { ScopedTimer timer(&histogram); }
-  { ScopedTimer timer(&histogram); }
+  Span span("op");
+  {
+    trace::TraceScope scope(kTrace, "timer");
+    ScopedTimer first(&histogram, EventKind::kAcquire, &span, "work");
+    ScopedTimer second(&histogram, EventKind::kAcquire, &span, "work");
+  }
   EXPECT_EQ(histogram.Snapshot().count, 2u);
+  const std::vector<RecordedEvent> events = TraceEvents(kTrace);
+  ASSERT_EQ(events.size(), 2u);
+  const json::Value doc = span.ToJson(0);
+  const json::Value* stages = doc.Find("stages");
+  ASSERT_NE(stages, nullptr);
+  // The stage accumulates both intervals: the sum of the two event args.
+  EXPECT_EQ(stages->GetDouble("work_ms"),
+            NanosToMillis(static_cast<uint64_t>(events[0].arg) +
+                          static_cast<uint64_t>(events[1].arg)));
+}
+
+TEST(ScopedTimerTest, ToleratesNullSinks) {
+  constexpr uint64_t kTrace = 0x71e3000000000003ull;
+  trace::TraceScope scope(kTrace, "timer");
+  { ScopedTimer timer; }  // must not crash
+  { ScopedTimer timer(nullptr, std::nullopt, nullptr, nullptr); }
+  ScopedTimer timer;
+  const uint64_t elapsed = timer.Stop();
+  EXPECT_EQ(timer.Stop(), elapsed);
+  EXPECT_TRUE(TraceEvents(kTrace).empty());  // no event kind, no record
 }
 
 // ---------------------------------------------------------------- Recorder

@@ -20,7 +20,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/trace_context.h"
 #include "obs/metrics.h"
+#include "obs/recorder.h"
 #include "serve/admission.h"
 #include "serve/client.h"
 #include "serve/connection.h"
@@ -240,6 +242,92 @@ TEST(SessionTest, CancelBeforeStartResolvesWithoutRunning) {
   EXPECT_EQ((*session)->phase(), SessionPhase::kCancelled);
   EXPECT_EQ((*session)->FrameCount(), 0u);
   EXPECT_FALSE(manager.Cancel("missing").ok());
+}
+
+// A job cancelled before it starts runs nothing, so it has no span tree of
+// its own. The previous job's tree must not stand in for it: the done frame
+// pairs TraceTree() with the session's current trace id.
+TEST(SessionTest, CancelBeforeStartLeavesNoStaleTree) {
+  constexpr uint64_t kFirst = 0xaaaaaaaaaaaaaaaaull;
+  constexpr uint64_t kSecond = 0xbbbbbbbbbbbbbbbbull;
+  constexpr uint64_t kThird = 0xccccccccccccccccull;
+  SessionManager manager;
+  const Result<TuningSession*> session = manager.Register(SmallJob("stale"));
+  ASSERT_TRUE(session.ok());
+  (*session)->SetTraceId(kFirst);
+  ASSERT_TRUE((*session)->RunJob().ok());
+  ASSERT_EQ((*session)->TraceTree().GetString("trace_id"),
+            trace::FormatTraceId(kFirst));
+
+  // The shed-resumption path: re-armed, cancelled, resolved unrun.
+  ASSERT_TRUE((*session)->Resume(SmallJob("stale")).ok());
+  (*session)->SetTraceId(kSecond);
+  (*session)->RequestCancel();
+  EXPECT_EQ((*session)->RunJob().code(), StatusCode::kCancelled);
+  const json::Value tree = (*session)->TraceTree();
+  EXPECT_TRUE(!tree.is_object() ||
+              tree.GetString("trace_id") == trace::FormatTraceId(kSecond))
+      << tree.Dump();
+
+  // The next job that runs gets its own tree again.
+  ASSERT_TRUE((*session)->Resume(SmallJob("stale")).ok());
+  (*session)->SetTraceId(kThird);
+  ASSERT_TRUE((*session)->RunJob().ok());
+  EXPECT_EQ((*session)->TraceTree().GetString("trace_id"),
+            trace::FormatTraceId(kThird));
+}
+
+// Each interval is measured once, and every sink reports that one value: a
+// round's progress-frame span and its recorder events, and the job's tree,
+// its wall seconds and its job_done event.
+TEST(SessionTest, EverySinkReportsTheSameMeasurement) {
+  constexpr uint64_t kTrace = 0x5eed0000000051a5ull;
+  constexpr size_t kRounds = 2;
+  SessionManager manager;
+  const Result<TuningSession*> session =
+      manager.Register(SmallJob("sinks", static_cast<int>(kRounds)));
+  ASSERT_TRUE(session.ok()) << session.status();
+  (*session)->SetTraceId(kTrace);
+  ASSERT_TRUE((*session)->RunJob().ok());
+
+  std::vector<int64_t> plan_ns;
+  std::vector<int64_t> acquire_ns;
+  std::vector<int64_t> job_done_ns;
+  for (const obs::RecordedEvent& event :
+       obs::Recorder::Global().Snapshot(/*session_filter=*/"", kTrace)) {
+    if (event.kind == obs::EventKind::kPlan) plan_ns.push_back(event.arg);
+    if (event.kind == obs::EventKind::kAcquire) {
+      acquire_ns.push_back(event.arg);
+    }
+    if (event.kind == obs::EventKind::kJobDone) {
+      job_done_ns.push_back(event.arg);
+    }
+  }
+  ASSERT_EQ(plan_ns.size(), kRounds);
+  ASSERT_EQ(acquire_ns.size(), kRounds);
+  ASSERT_EQ(job_done_ns.size(), 1u);
+
+  ASSERT_EQ((*session)->FrameCount(), kRounds);
+  for (size_t r = 0; r < kRounds; ++r) {
+    const json::Value frame = (*session)->FrameAt(r);
+    const json::Value* span = frame.Find("span");
+    ASSERT_NE(span, nullptr) << frame.Dump();
+    const json::Value* stages = span->Find("stages");
+    ASSERT_NE(stages, nullptr) << frame.Dump();
+    EXPECT_EQ(stages->GetDouble("plan_ms"),
+              static_cast<double>(plan_ns[r]) / 1e6)
+        << "round " << r;
+    EXPECT_EQ(stages->GetDouble("acquire_ms"),
+              static_cast<double>(acquire_ns[r]) / 1e6)
+        << "round " << r;
+  }
+
+  const json::Value tree = (*session)->TraceTree();
+  const double wall_seconds = (*session)->last_job_wall_seconds();
+  const double done_ns = static_cast<double>(job_done_ns[0]);
+  EXPECT_EQ(tree.GetDouble("total_ms"), done_ns / 1e6);
+  EXPECT_EQ(wall_seconds, done_ns / 1e9);
+  EXPECT_DOUBLE_EQ(tree.GetDouble("total_ms"), wall_seconds * 1e3);
 }
 
 // The acceptance check of the serving tentpole: resubmitting a session with
