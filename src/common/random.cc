@@ -94,16 +94,8 @@ double Rng::Exponential(double lambda) {
 }
 
 size_t Rng::Categorical(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) total += (w > 0.0 ? w : 0.0);
-  if (total <= 0.0) return weights.empty() ? 0 : weights.size() - 1;
-  double r = Uniform() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    const double w = weights[i] > 0.0 ? weights[i] : 0.0;
-    if (r < w) return i;
-    r -= w;
-  }
-  return weights.size() - 1;
+  return Categorical(weights.size(),
+                     [&weights](size_t i) { return weights[i]; });
 }
 
 std::vector<size_t> Rng::Permutation(size_t n) {

@@ -44,6 +44,9 @@ class Rng {
   /// Samples an index according to (non-negative) unnormalized weights.
   /// Returns weights.size() - 1 if all weights are zero.
   size_t Categorical(const std::vector<double>& weights);
+  /// The same draw over the n weights weight_of(0..n-1), read in place.
+  template <typename WeightOf>
+  size_t Categorical(size_t n, const WeightOf& weight_of);
 
   /// Fisher-Yates shuffle of indices [0, n).
   std::vector<size_t> Permutation(size_t n);
@@ -73,6 +76,24 @@ class Rng {
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;
 };
+
+template <typename WeightOf>
+size_t Rng::Categorical(size_t n, const WeightOf& weight_of) {
+  const auto weight = [&weight_of](size_t i) {
+    const double w = weight_of(i);
+    return w > 0.0 ? w : 0.0;
+  };
+  double total = 0.0;
+  for (size_t i = 0; i < n; ++i) total += weight(i);
+  if (total <= 0.0) return n == 0 ? 0 : n - 1;
+  double r = Uniform() * total;
+  for (size_t i = 0; i < n; ++i) {
+    const double w = weight(i);
+    if (r < w) return i;
+    r -= w;
+  }
+  return n - 1;
+}
 
 }  // namespace slicetuner
 

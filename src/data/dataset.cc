@@ -21,6 +21,12 @@ Status Dataset::Append(const Example& example) {
   return Status::OK();
 }
 
+void Dataset::Reserve(size_t rows) {
+  features_.reserve(features_.size() + rows * dim_);
+  labels_.reserve(labels_.size() + rows);
+  slices_.reserve(slices_.size() + rows);
+}
+
 Status Dataset::Merge(const Dataset& other) {
   if (other.empty()) return Status::OK();
   if (dim_ == 0 && empty()) dim_ = other.dim_;

@@ -37,6 +37,9 @@ class Dataset {
   /// Appends one example. Fails if the feature dimension mismatches.
   Status Append(const Example& example);
 
+  /// Reserves storage for `rows` more rows than the dataset holds.
+  void Reserve(size_t rows);
+
   /// Appends all rows of `other` (dims must match; empty datasets adopt the
   /// other's dim).
   Status Merge(const Dataset& other);

@@ -44,34 +44,42 @@ SyntheticGenerator::SyntheticGenerator(size_t dim, int num_classes,
     : dim_(dim), num_classes_(num_classes), slices_(std::move(slices)) {}
 
 Example SyntheticGenerator::Generate(int slice, Rng* rng) const {
+  Example e;
+  GenerateInto(slice, rng, &e);
+  return e;
+}
+
+void SyntheticGenerator::GenerateInto(int slice, Rng* rng,
+                                      Example* out) const {
   const SliceModel& model = slices_[static_cast<size_t>(slice)];
   // Pick a component by weight.
-  std::vector<double> weights;
-  weights.reserve(model.components.size());
-  for (const auto& c : model.components) weights.push_back(c.weight);
   const GaussianComponent& comp =
-      model.components[rng->Categorical(weights)];
-
-  Example e;
-  e.slice = slice;
-  e.label = comp.label;
-  e.features.resize(dim_);
+      model.components[rng->Categorical(model.components.size(),
+                                        [&model](size_t i) {
+                                          return model.components[i].weight;
+                                        })];
+  out->slice = slice;
+  out->label = comp.label;
+  out->features.resize(dim_);
   for (size_t i = 0; i < dim_; ++i) {
-    e.features[i] = rng->Normal(comp.mean[i], comp.sigma);
+    out->features[i] = rng->Normal(comp.mean[i], comp.sigma);
   }
   if (model.label_noise > 0.0 && rng->Bernoulli(model.label_noise)) {
-    e.label = static_cast<int>(rng->UniformInt(
+    out->label = static_cast<int>(rng->UniformInt(
         static_cast<uint64_t>(num_classes_)));
   }
-  return e;
 }
 
 Dataset SyntheticGenerator::GenerateDataset(const std::vector<size_t>& counts,
                                             Rng* rng) const {
+  // No exact-fit reserve: a training set grows by appends afterwards, and
+  // an exactly full one doubles on its first append.
   Dataset out(dim_);
+  Example example;
   for (size_t s = 0; s < counts.size(); ++s) {
     for (size_t i = 0; i < counts[s]; ++i) {
-      (void)out.Append(Generate(static_cast<int>(s), rng));
+      GenerateInto(static_cast<int>(s), rng, &example);
+      (void)out.Append(example);
     }
   }
   return out;

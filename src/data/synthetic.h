@@ -58,6 +58,10 @@ class SyntheticGenerator {
   /// Draws one example from `slice`'s mixture.
   Example Generate(int slice, Rng* rng) const;
 
+  /// Generate into `*out`, reusing its feature storage: the same draws in
+  /// the same order, without allocating once `out` has held an example.
+  void GenerateInto(int slice, Rng* rng, Example* out) const;
+
   /// Draws counts[s] examples for each slice s.
   Dataset GenerateDataset(const std::vector<size_t>& counts, Rng* rng) const;
 

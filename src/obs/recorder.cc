@@ -54,6 +54,10 @@ Recorder& Recorder::Global() {
   return recorder;
 }
 
+Recorder::~Recorder() {
+  for (std::atomic<Ring*>& ring : rings_) delete ring.load();
+}
+
 Recorder::Ring* Recorder::ThisThreadRing() {
   // Cache keyed by recorder identity so test-local Recorder instances get
   // their own rings. Identity is a process-unique id, not the address:

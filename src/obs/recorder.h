@@ -85,6 +85,8 @@ class Recorder {
   static constexpr size_t kMaxSessionLen = 23;
 
   Recorder() = default;
+  /// Frees every ring. No thread may record into the recorder any more.
+  ~Recorder();
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
 

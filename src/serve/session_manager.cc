@@ -1080,20 +1080,29 @@ Result<RestoreReport> SessionManager::RestoreFromState(
   if (state.snapshot.is_object()) {
     next_id = state.snapshot.GetInt("next_id", 1);
     if (const json::Value* sessions = state.snapshot.Find("sessions")) {
+      // Names are claimed serially (the first entry of a name wins); the
+      // entries then decode across the pool into their fold slots.
+      std::vector<const json::Value*> entries;
       for (const json::Value& entry : sessions->items()) {
         if (!entry.is_object()) continue;
         const std::string name = entry.GetString("name");
-        if (name.empty() || !index.emplace(name, merged.size()).second) {
+        if (name.empty() || !index.emplace(name, entries.size()).second) {
           continue;
         }
+        entries.push_back(&entry);
+      }
+      merged.resize(entries.size());
+      ParallelFor(entries.size(), [&entries, &merged](size_t i) {
+        const json::Value& entry = *entries[i];
         Result<SessionState> parsed = SessionState::FromJson(entry);
-        merged.push_back({parsed.ok() ? std::move(*parsed) : SessionState(),
-                          parsed.status()});
+        Folded& folded = merged[i];
+        folded.status = parsed.status();
+        if (parsed.ok()) folded.state = std::move(*parsed);
         // An undecodable entry keeps its name and id, so it is claimed,
         // counted as failed, and its name released below.
-        merged.back().state.name = name;
-        merged.back().state.id = static_cast<uint64_t>(entry.GetInt("id"));
-      }
+        folded.state.name = entry.GetString("name");
+        folded.state.id = static_cast<uint64_t>(entry.GetInt("id"));
+      });
     }
   }
 

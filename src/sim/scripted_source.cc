@@ -84,12 +84,14 @@ int ScriptedSource::BeginRound(int round) {
 
 Dataset ScriptedSource::Acquire(int slice, size_t count) {
   Dataset batch(generator_.dim());
+  batch.Reserve(count);
   const double mistake_rate =
       spec_.acquisition_label_noise.empty()
           ? 0.0
           : spec_.acquisition_label_noise[static_cast<size_t>(slice)];
+  Example example;
   for (size_t i = 0; i < count; ++i) {
-    Example example = generator_.Generate(slice, &acquire_rng_);
+    generator_.GenerateInto(slice, &acquire_rng_, &example);
     if (mistake_rate > 0.0 && acquire_rng_.Bernoulli(mistake_rate)) {
       example.label = static_cast<int>(acquire_rng_.UniformInt(
           static_cast<uint64_t>(generator_.num_classes())));

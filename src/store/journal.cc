@@ -2,12 +2,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <string_view>
 #include <utility>
 
 #include "common/fs_util.h"
+#include "common/parallel_for.h"
 #include "common/string_util.h"
 #include "store/fault_injector.h"
 
@@ -49,35 +51,59 @@ std::string CrcHex(uint32_t crc) {
 // parsed payload or an error describing the failed check.
 Result<json::Value> DecodeLine(std::string_view line) {
   if (line.size() < kHeaderLen || line[kCrcHexLen] != ' ') {
-    return Status::InvalidArgument("journal record header malformed");
+    return Status::InvalidArgument("record header malformed");
   }
   uint32_t expected;
   if (!ParseCrcHex(line.data(), &expected)) {
-    return Status::InvalidArgument("journal record CRC not hex");
+    return Status::InvalidArgument("record CRC not hex");
   }
   const std::string_view payload = line.substr(kHeaderLen);
   const uint32_t actual = Crc32(payload.data(), payload.size());
   if (actual != expected) {
     return Status::InvalidArgument(
-        StrFormat("journal record CRC mismatch (stored %08x, computed %08x)",
+        StrFormat("record CRC mismatch (stored %08x, computed %08x)",
                   expected, actual));
   }
-  ST_ASSIGN_OR_RETURN(json::Value value, json::Value::Parse(payload));
-  if (!value.is_object()) {
-    return Status::InvalidArgument("journal record payload not an object");
-  }
-  return value;
+  return json::Value::Parse(payload);
+}
+
+// A journal record is intact when its frame decodes to an object.
+bool IntactRecord(const FramedLine& line) {
+  return line.value.ok() && line.value->is_object();
 }
 
 }  // namespace
 
-std::string FrameRecord(const json::Value& payload) {
+void FrameRecord(const json::Value& payload, std::string* out) {
   const std::string body = payload.Dump();
-  std::string line = CrcHex(Crc32(body));
-  line += ' ';
-  line += body;
-  line += '\n';
+  *out += CrcHex(Crc32(body));
+  *out += ' ';
+  *out += body;
+  *out += '\n';
+}
+
+std::string FrameRecord(const json::Value& payload) {
+  std::string line;
+  FrameRecord(payload, &line);
   return line;
+}
+
+FramedLines DecodeFramedLines(std::string_view bytes) {
+  FramedLines out;
+  out.lines.resize(
+      static_cast<size_t>(std::count(bytes.begin(), bytes.end(), '\n')));
+  size_t pos = 0;
+  for (FramedLine& line : out.lines) {
+    line.end = bytes.find('\n', pos) + 1;
+    pos = line.end;
+  }
+  out.unterminated_bytes = bytes.size() - pos;
+  ParallelFor(out.lines.size(), [&out, bytes](size_t i) {
+    const size_t begin = i == 0 ? 0 : out.lines[i - 1].end;
+    const size_t end = out.lines[i].end - 1;  // without the LF
+    out.lines[i].value = DecodeLine(bytes.substr(begin, end - begin));
+  });
+  return out;
 }
 
 Result<JournalReadResult> ReadJournal(const std::string& path) {
@@ -87,46 +113,29 @@ Result<JournalReadResult> ReadJournal(const std::string& path) {
     if (content.status().code() == StatusCode::kNotFound) return result;
     return content.status();
   }
+  FramedLines framed = DecodeFramedLines(*content);
+  std::vector<FramedLine>& lines = framed.lines;
 
-  // Decode newline-terminated lines in order; remember where the valid
-  // prefix ends and whether anything intact follows the first damage.
-  size_t pos = 0;
-  bool damaged = false;
-  std::string damage_detail;
-  bool intact_after_damage = false;
-  while (pos < content->size()) {
-    const size_t newline = content->find('\n', pos);
-    if (newline == std::string::npos) {
-      damaged = true;  // unterminated tail line
-      if (damage_detail.empty()) damage_detail = "unterminated final record";
-      break;
-    }
-    const std::string_view line(content->data() + pos, newline - pos);
-    const Result<json::Value> record = DecodeLine(line);
-    if (!record.ok()) {
-      if (!damaged) {
-        damaged = true;
-        damage_detail = record.status().message();
-      }
-      pos = newline + 1;
-      continue;
-    }
-    if (damaged) {
-      intact_after_damage = true;
-      break;
-    }
-    result.records.push_back(std::move(*record));
-    pos = newline + 1;
-    result.valid_bytes = pos;
-  }
-
-  if (intact_after_damage) {
+  // The valid prefix ends at the first damaged line. Damage may only be a
+  // torn tail: an intact record after it cannot come from a crash.
+  size_t valid = 0;
+  while (valid < lines.size() && IntactRecord(lines[valid])) ++valid;
+  for (size_t i = valid + 1; i < lines.size(); ++i) {
+    if (!IntactRecord(lines[i])) continue;
+    const std::string detail = lines[valid].value.ok()
+                                   ? "record payload not an object"
+                                   : lines[valid].value.status().message();
     return Status::Internal(
-        "journal " + path + " is corrupted mid-file (" + damage_detail +
+        "journal " + path + " is corrupted mid-file (" + detail +
         " followed by intact records); refusing to recover past silent "
         "data loss");
   }
-  if (damaged) {
+  result.records.reserve(valid);
+  for (size_t i = 0; i < valid; ++i) {
+    result.records.push_back(std::move(*lines[i].value));
+  }
+  result.valid_bytes = valid == 0 ? 0 : lines[valid - 1].end;
+  if (result.valid_bytes < content->size()) {
     result.tail_truncated = true;
     result.bytes_discarded = content->size() - result.valid_bytes;
   }

@@ -28,6 +28,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.h"
@@ -40,6 +41,31 @@ namespace store {
 /// including the trailing newline. Exposed for tests that build journal
 /// bytes by hand.
 std::string FrameRecord(const json::Value& payload);
+
+/// Appends the framed line of `payload` to `out` (v2 snapshots frame every
+/// entry this way).
+void FrameRecord(const json::Value& payload, std::string* out);
+
+/// One LF-terminated line of a framed file, decoded.
+struct FramedLine {
+  /// Byte offset just past the line's LF.
+  size_t end = 0;
+  /// The payload, or why the line's header, CRC or JSON is damaged.
+  Result<json::Value> value = json::Value();
+};
+
+/// Every complete line of a framed file, in file order.
+struct FramedLines {
+  std::vector<FramedLine> lines;
+  /// Bytes after the last LF (an unterminated final line), 0 if none.
+  size_t unterminated_bytes = 0;
+};
+
+/// The decoder journals and v2 snapshots share: splits `bytes` into lines
+/// serially, then checks each line's CRC and parses its payload across the
+/// shared pool (common/parallel_for.h) into per-line slots. It judges
+/// nothing: each caller applies its own damage policy to the slots.
+FramedLines DecodeFramedLines(std::string_view bytes);
 
 /// What reading a journal file yields.
 struct JournalReadResult {

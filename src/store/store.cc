@@ -90,10 +90,9 @@ Result<RecoveredState> ReadStateDirImpl(
     const std::string& dir,
     std::vector<std::pair<uint64_t, size_t>>* chain) {
   RecoveredState state;
-  const Result<json::Value> snapshot =
-      ReadSnapshotFile(dir + "/" + kSnapshotName);
+  Result<json::Value> snapshot = ReadSnapshotFile(dir + "/" + kSnapshotName);
   if (snapshot.ok()) {
-    state.snapshot = *snapshot;
+    state.snapshot = std::move(*snapshot);
   } else if (snapshot.status().code() != StatusCode::kNotFound) {
     return snapshot.status();
   }

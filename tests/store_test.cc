@@ -6,12 +6,14 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/fs_util.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "gtest/gtest.h"
 #include "store/journal.h"
 #include "store/snapshot.h"
@@ -214,6 +216,60 @@ TEST(JournalTest, MidFileCorruptionRefusesRecovery) {
   EXPECT_FALSE(JournalWriter::Open(path).ok());
 }
 
+// Enough records that the decode fans out across the pool: damage at the
+// first, a middle and the last record keeps the serial policy — a torn
+// tail is dropped, damage followed by an intact record refuses recovery.
+TEST(JournalTest, ParallelDecodeKeepsTheDamagePolicy) {
+  const std::string dir = FreshDir("journal_parallel");
+  const std::string path = dir + "/journal.wal";
+  constexpr size_t kRecords = 200;
+  std::vector<std::string> lines;
+  for (size_t n = 0; n < kRecords; ++n) {
+    lines.push_back(FrameRecord(Record(static_cast<int>(n))));
+  }
+  const auto write_damaged = [&](size_t damaged) {
+    std::string bytes;
+    for (size_t n = 0; n < kRecords; ++n) {
+      std::string line = lines[n];
+      if (n == damaged) line[line.size() - 3] ^= 0x01;  // a payload byte
+      bytes += line;
+    }
+    ST_CHECK_OK(WriteStringToFile(path, bytes));
+    return bytes.size();
+  };
+
+  const size_t total = write_damaged(kRecords);  // nothing damaged
+  Result<JournalReadResult> read = ReadJournal(path);
+  ST_CHECK_OK(read.status());
+  ASSERT_EQ(read->records.size(), kRecords);
+  for (size_t n = 0; n < kRecords; ++n) {
+    EXPECT_EQ(read->records[n].GetInt("n"), static_cast<long long>(n));
+  }
+  EXPECT_EQ(read->valid_bytes, total);
+  EXPECT_FALSE(read->tail_truncated);
+  EXPECT_EQ(read->bytes_discarded, 0u);
+
+  for (const size_t damaged : {size_t{0}, kRecords / 2}) {
+    write_damaged(damaged);
+    read = ReadJournal(path);
+    EXPECT_EQ(read.status().code(), StatusCode::kInternal)
+        << "damage at record " << damaged;
+    EXPECT_NE(read.status().message().find("corrupted mid-file"),
+              std::string::npos)
+        << read.status().ToString();
+  }
+
+  write_damaged(kRecords - 1);
+  read = ReadJournal(path);
+  ST_CHECK_OK(read.status());
+  ASSERT_EQ(read->records.size(), kRecords - 1);
+  EXPECT_EQ(read->records.back().GetInt("n"),
+            static_cast<long long>(kRecords - 2));
+  EXPECT_EQ(read->valid_bytes, total - lines.back().size());
+  EXPECT_TRUE(read->tail_truncated);
+  EXPECT_EQ(read->bytes_discarded, lines.back().size());
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot framing
 // ---------------------------------------------------------------------------
@@ -245,7 +301,7 @@ TEST(SnapshotTest, RejectsCorruptedPayloadAndBadVersion) {
 
   // A future format major is rejected up front.
   std::string future = EncodeSnapshot(doc);
-  const size_t v = future.find(" v1 ");
+  const size_t v = future.find(" v2 ");
   ASSERT_NE(v, std::string::npos);
   future.replace(v, 4, " v9 ");
   ST_CHECK_OK(WriteStringToFile(path, future));
@@ -253,6 +309,132 @@ TEST(SnapshotTest, RejectsCorruptedPayloadAndBadVersion) {
 
   EXPECT_EQ(ReadSnapshotFile(dir + "/missing.st").status().code(),
             StatusCode::kNotFound);
+}
+
+// A small document in the serving layer's shape, with "sessions" between
+// other members, so a round trip must put the entries back in place.
+json::Value MultiSessionDoc() {
+  json::Value doc = json::Value::Object();
+  doc.Set("format", "slicetuner-serve-state");
+  doc.Set("version", 1);
+  json::Value sessions = json::Value::Array();
+  for (int i = 0; i < 3; ++i) {
+    json::Value entry = json::Value::Object();
+    entry.Set("name", "s" + std::to_string(i));
+    entry.Set("id", i + 1);
+    entry.Set("loss", 0.25 + i);
+    json::Value acquires = json::Value::Array();
+    for (int k = 0; k <= i; ++k) acquires.Append(k * 7);
+    entry.Set("acquires", std::move(acquires));
+    sessions.Append(std::move(entry));
+  }
+  doc.Set("sessions", std::move(sessions));
+  doc.Set("next_id", 4);
+  return doc;
+}
+
+TEST(SnapshotTest, V2FramesOneLinePerSessionAndKeepsMemberOrder) {
+  const std::string dir = FreshDir("snapshot_v2");
+  const std::string path = dir + "/snapshot.st";
+  const json::Value doc = MultiSessionDoc();
+  ST_CHECK_OK(WriteSnapshotFile(path, doc));
+  const std::string bytes = ReadAll(path);
+  // Header, head line, one line per session.
+  EXPECT_EQ(bytes.rfind("SLICETUNER-SNAPSHOT v2 4 ", 0), 0u) << bytes;
+  EXPECT_EQ(std::count(bytes.begin(), bytes.end(), '\n'), 5);
+  const Result<json::Value> read = ReadSnapshotFile(path);
+  ST_CHECK_OK(read.status());
+  EXPECT_EQ(read->Dump(), doc.Dump());
+
+  // No sessions member, an empty array and a non-array "sessions" all
+  // round-trip as one head line.
+  json::Value plain = json::Value::Object();
+  plain.Set("k", 1);
+  json::Value empty = plain;
+  empty.Set("sessions", json::Value::Array());
+  json::Value scalar = plain;
+  scalar.Set("sessions", 3);
+  for (const json::Value& other : {plain, empty, scalar}) {
+    ST_CHECK_OK(WriteSnapshotFile(path, other));
+    EXPECT_EQ(ReadAll(path).rfind("SLICETUNER-SNAPSHOT v2 1 ", 0), 0u);
+    const Result<json::Value> back = ReadSnapshotFile(path);
+    ST_CHECK_OK(back.status());
+    EXPECT_EQ(back->Dump(), other.Dump());
+  }
+}
+
+TEST(SnapshotTest, V2RejectsEverySingleByteFlip) {
+  const std::string dir = FreshDir("snapshot_v2_flip");
+  const std::string path = dir + "/snapshot.st";
+  const std::string bytes = EncodeSnapshot(MultiSessionDoc());
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    std::string damaged = bytes;
+    damaged[i] ^= 0x01;
+    ST_CHECK_OK(WriteStringToFile(path, damaged));
+    EXPECT_EQ(ReadSnapshotFile(path).status().code(), StatusCode::kInternal)
+        << "flip at byte " << i << " of " << bytes.size();
+  }
+}
+
+// Every prefix: the cuts at line boundaries and inside every line.
+TEST(SnapshotTest, V2RejectsTruncation) {
+  const std::string dir = FreshDir("snapshot_v2_cut");
+  const std::string path = dir + "/snapshot.st";
+  const std::string bytes = EncodeSnapshot(MultiSessionDoc());
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    ST_CHECK_OK(WriteStringToFile(path, bytes.substr(0, cut)));
+    EXPECT_EQ(ReadSnapshotFile(path).status().code(), StatusCode::kInternal)
+        << "cut at byte " << cut << " of " << bytes.size();
+  }
+}
+
+// A header whose counts disagree with intact lines is damage too.
+TEST(SnapshotTest, V2RejectsCountAndByteMismatch) {
+  const std::string dir = FreshDir("snapshot_v2_counts");
+  const std::string path = dir + "/snapshot.st";
+  const std::string bytes = EncodeSnapshot(MultiSessionDoc());
+  const size_t newline = bytes.find('\n');
+  const std::string payload = bytes.substr(newline + 1);
+  const auto with_header = [&](size_t records, size_t payload_bytes,
+                               const std::string& body) {
+    ST_CHECK_OK(WriteStringToFile(
+        path, StrFormat("SLICETUNER-SNAPSHOT v2 %zu %zu\n", records,
+                        payload_bytes) +
+                  body));
+    return ReadSnapshotFile(path).status().code();
+  };
+  EXPECT_EQ(with_header(4, payload.size(), payload), StatusCode::kOk);
+  EXPECT_EQ(with_header(3, payload.size(), payload), StatusCode::kInternal);
+  EXPECT_EQ(with_header(5, payload.size(), payload), StatusCode::kInternal);
+  EXPECT_EQ(with_header(4, payload.size() - 1, payload),
+            StatusCode::kInternal);
+  // An intact extra line is still one line more than promised.
+  const std::string extra = payload + FrameRecord(Record(9));
+  EXPECT_EQ(with_header(4, extra.size(), extra), StatusCode::kInternal);
+  // Entry lines need the head's empty "sessions" placeholder.
+  json::Value head = json::Value::Object();
+  head.Set("k", 1);
+  const std::string orphan = FrameRecord(head) + FrameRecord(Record(1));
+  EXPECT_EQ(with_header(2, orphan.size(), orphan), StatusCode::kInternal);
+}
+
+// Snapshots written before v2 are one pretty-printed payload under one CRC.
+TEST(SnapshotTest, ReadsV1Files) {
+  const std::string dir = FreshDir("snapshot_v1");
+  const std::string path = dir + "/snapshot.st";
+  const json::Value doc = MultiSessionDoc();
+  const std::string payload = doc.Dump(/*indent=*/2) + "\n";
+  std::string bytes = StrFormat("SLICETUNER-SNAPSHOT v1 %08x %zu\n",
+                                Crc32(payload), payload.size()) +
+                      payload;
+  ST_CHECK_OK(WriteStringToFile(path, bytes));
+  const Result<json::Value> read = ReadSnapshotFile(path);
+  ST_CHECK_OK(read.status());
+  EXPECT_EQ(read->Dump(), doc.Dump());
+
+  bytes[bytes.size() - 4] ^= 0x01;
+  ST_CHECK_OK(WriteStringToFile(path, bytes));
+  EXPECT_EQ(ReadSnapshotFile(path).status().code(), StatusCode::kInternal);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/math_util.h"
 #include "data/synthetic.h"
+#include "sim/scenario.h"
+#include "sim/scripted_source.h"
 
 namespace slicetuner {
 namespace {
@@ -79,6 +82,112 @@ TEST(SyntheticGeneratorTest, CleanSliceHasFewFlips) {
     if (preset.generator.Generate(15, &rng).label != 15) ++mismatches;
   }
   EXPECT_LT(mismatches, 60);  // 1% noise
+}
+
+// Row-for-row, bit-for-bit equality of two datasets.
+void ExpectSameRows(const Dataset& got, const Dataset& want) {
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got.dim(), want.dim());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got.label(i), want.label(i)) << "row " << i;
+    EXPECT_EQ(got.slice(i), want.slice(i)) << "row " << i;
+    EXPECT_EQ(std::memcmp(got.features(i), want.features(i),
+                          got.dim() * sizeof(double)),
+              0)
+        << "row " << i;
+  }
+}
+
+// One example drawn the way Generate always has: copy the component
+// weights, pick one, draw the features, then maybe flip the label.
+Example ReferenceGenerate(const SyntheticGenerator& generator, int slice,
+                          Rng* rng) {
+  const SliceModel& model = generator.slice_model(slice);
+  std::vector<double> weights;
+  for (const GaussianComponent& c : model.components) {
+    weights.push_back(c.weight);
+  }
+  const GaussianComponent& comp = model.components[rng->Categorical(weights)];
+  Example e;
+  e.slice = slice;
+  e.label = comp.label;
+  for (size_t i = 0; i < generator.dim(); ++i) {
+    e.features.push_back(rng->Normal(comp.mean[i], comp.sigma));
+  }
+  if (model.label_noise > 0.0 && rng->Bernoulli(model.label_noise)) {
+    e.label = static_cast<int>(
+        rng->UniformInt(static_cast<uint64_t>(generator.num_classes())));
+  }
+  return e;
+}
+
+// The batch paths reuse one Example and read component weights in place;
+// they must draw exactly what the per-example loop draws.
+TEST(SyntheticGeneratorTest, GenerateDatasetMatchesPerExampleLoop) {
+  // Three components (one of weight zero) plus label noise.
+  GaussianComponent a{{0.0, 1.0, -1.0}, 0.7, 0, 0.2};
+  GaussianComponent b{{2.0, 0.0, 1.0}, 1.1, 1, 0.0};
+  GaussianComponent c{{-1.0, 2.0, 0.5}, 0.9, 2, 0.8};
+  SliceModel mixed{{a, b, c}, 0.3};
+  SliceModel single{{b}, 0.0};
+  const std::vector<SyntheticGenerator> generators = {
+      MakeCensusLike().generator,  // two weighted components per slice
+      MakeFashionLike().generator,
+      SyntheticGenerator(3, 3, {mixed, single}),
+  };
+  for (const SyntheticGenerator& generator : generators) {
+    std::vector<size_t> counts;
+    for (int s = 0; s < generator.num_slices(); ++s) {
+      counts.push_back(s == 1 ? 0 : static_cast<size_t>(20 + 7 * s));
+    }
+    Rng batch_rng(9), loop_rng(9);
+    const Dataset batch = generator.GenerateDataset(counts, &batch_rng);
+    Dataset loop(generator.dim());
+    for (size_t s = 0; s < counts.size(); ++s) {
+      for (size_t i = 0; i < counts[s]; ++i) {
+        ST_CHECK_OK(loop.Append(
+            ReferenceGenerate(generator, static_cast<int>(s), &loop_rng)));
+      }
+    }
+    ExpectSameRows(batch, loop);
+    // Both streams stop at the same draw, cached normal included.
+    EXPECT_EQ(batch_rng.Normal(), loop_rng.Normal());
+    EXPECT_EQ(batch_rng(), loop_rng());
+  }
+}
+
+TEST(SyntheticGeneratorTest, ScriptedAcquireMatchesPerExampleLoop) {
+  // Two components per slice, generator label noise and acquisition-time
+  // label noise.
+  const Result<sim::ScenarioSpec> spec =
+      sim::CanonicalScenarioByName("label-noise");
+  ST_CHECK_OK(spec.status());
+  ASSERT_FALSE(spec->acquisition_label_noise.empty());
+  sim::ScriptedSource source(*spec);
+  sim::ScriptedSource reference(*spec);
+  for (int round = 0; round < 2; ++round) {
+    source.BeginRound(round);
+    reference.BeginRound(round);
+    // The round's acquisition stream, derived as ScriptedSource does.
+    Rng rng(Rng(spec->seed).ForkSeed((uint64_t{1} << 32) +
+                                     static_cast<uint64_t>(round)));
+    for (int slice = 0; slice < spec->num_slices; ++slice) {
+      const Dataset batch = source.Acquire(slice, 25);
+      const SyntheticGenerator& generator = reference.generator();
+      const double mistakes =
+          spec->acquisition_label_noise[static_cast<size_t>(slice)];
+      Dataset loop(generator.dim());
+      for (int i = 0; i < 25; ++i) {
+        Example example = ReferenceGenerate(generator, slice, &rng);
+        if (mistakes > 0.0 && rng.Bernoulli(mistakes)) {
+          example.label = static_cast<int>(
+              rng.UniformInt(static_cast<uint64_t>(generator.num_classes())));
+        }
+        ST_CHECK_OK(loop.Append(example));
+      }
+      ExpectSameRows(batch, loop);
+    }
+  }
 }
 
 TEST(PresetTest, FashionHasTenSlices) {
